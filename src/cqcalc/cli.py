@@ -113,13 +113,23 @@ def _load_matroid(args):
         g = matroid_mod.parse_graph(_read_text_file(args.graph))
         return matroid_mod.matroid_from_graph(g), {"graph": args.graph}
     if args.uniform is not None:
-        r, n = _parse_int_list(args.uniform)
+        values = _parse_int_list(args.uniform)
+        if len(values) != 2:
+            raise UsageError(f"--uniform takes rank,size, got {args.uniform!r}")
+        r, n = values
         return matroid_mod.uniform_matroid(r, n), {"uniform": [r, n]}
     rows = _read_data_argument(args.matrix)
     m = matroid_mod.matroid_from_subspace(
         [[_parse_fraction(str(x)) for x in row] for row in rows]
     )
     return m, {"matrix": rows}
+
+
+def _parse_sigma(text):
+    try:
+        return cells_mod.TwoPermutation.parse(text)
+    except ValueError:
+        raise UsageError(f"--sigma takes digit blocks like '2|13', got {text!r}")
 
 
 # --- handlers -------------------------------------------------------------
@@ -264,12 +274,12 @@ def _cmd_cells_enumerate(args):
 
 
 def _cmd_cells_weight(args):
-    sigma = cells_mod.TwoPermutation.parse(args.sigma)
+    sigma = _parse_sigma(args.sigma)
     return cells_mod.weight(sigma), {"sigma": str(sigma)}
 
 
 def _cmd_cells_param(args):
-    sigma = cells_mod.TwoPermutation.parse(args.sigma)
+    sigma = _parse_sigma(args.sigma)
     param = cells_mod.cell_parametrization(sigma)
     result = {
         "sigma": str(sigma),
@@ -283,7 +293,7 @@ def _cmd_cells_param(args):
 
 
 def _cmd_cells_verify(args):
-    sigma = cells_mod.TwoPermutation.parse(args.sigma)
+    sigma = _parse_sigma(args.sigma)
     if args.values is not None:
         values = _parse_assignments(args.values)
     elif args.random:
@@ -317,12 +327,16 @@ def _cmd_segre_nu(args):
 
 def _segre_data(args):
     raw = _read_data_argument(args.data)
+    if not isinstance(raw, dict):
+        raise UsageError('Segre data must be a JSON object like {"degF": 4, ...}')
     try:
         return segre_mod.SegreData(
             degF=raw["degF"], nL=raw["nL"], mY=raw["mY"], s=tuple(raw["s"])
         )
     except KeyError as exc:
         raise DomainError(f"Segre data missing field {exc}")
+    except TypeError:
+        raise UsageError("Segre data needs integers degF, nL, mY and a list s")
 
 
 def _cmd_segre_correct(args):

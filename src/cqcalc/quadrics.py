@@ -11,7 +11,17 @@ only the locus of completely degenerate quadrics remains.  That locus is a
 complete flag variety, where the restriction of L_i is twice the Schubert
 divisor of the transposition s_{n-i} (the extra 2 comes from the rank-one
 locus sitting in its ambient space by a quadratic Veronese map), so the
-value there is 2^(sum of exponents) times a Monk-rule coefficient.
+value there is 2^(sum of exponents) times a flag-variety integral, which
+`schubert.flag_integral` reads off the Weyl volume polynomial (Monk's rule
+is its test oracle).
+
+The rewriting expands hyperplane classes in mixed bases of S's and L's.
+Their coordinates come from the closed-form inverse of the Cartan matrix
+and have the common denominator k + 1 for a run of k degeneration classes;
+the reduction keeps integer numerators and divides each sum exactly, so
+every intermediate value is the integer integral of a top-degree class.
+`l_in_mixed_basis` solves the same basis change as a linear system and is
+the independent check on the closed form.
 
 For n = 2 the space is the plane of binary quadrics and the same relations
 hold with S_1 = 2 L_1, so no special casing is needed.
@@ -113,12 +123,51 @@ class CQProduct:
 
 @lru_cache(maxsize=None)
 def _mixed_basis_expansion(n, i, frozen_x):
-    x_set = set(frozen_x)
+    """L_i in the basis {S_j : j in X} u {L_j : j not in X}, as integer
+    numerators over one common denominator: (denominator, {(kind, j): num}).
+
+    Outside X, L_i is a basis vector.  Inside a maximal run [p, q] of X with
+    k = q - p + 1, the relations S_j = -L_{j-1} + 2 L_j - L_{j+1} for j in
+    the run form the k x k Cartan matrix, whose inverse has entries
+    min(r, s)(k + 1 - max(r, s)) / (k + 1); the neighbours L_{p-1} and
+    L_{q+1} (when they exist) enter through its first and last columns.
+    """
+    if i not in frozen_x:
+        return 1, {("L", i): 1}
+    p, q = i, i
+    while p - 1 in frozen_x:
+        p -= 1
+    while q + 1 in frozen_x:
+        q += 1
+    k, r = q - p + 1, i - p + 1
+    out = {}
+    for j in range(p, q + 1):
+        s = j - p + 1
+        out[("S", j)] = min(r, s) * (k + 1 - max(r, s))
+    if p > 1:
+        out[("L", p - 1)] = k + 1 - r
+    if q < n - 1:
+        out[("L", q + 1)] = r
+    return k + 1, out
+
+
+def l_in_mixed_basis(n, i, X):
+    """Coordinates of L_i in the basis {S_j : j in X} u {L_j : j not in X}.
+
+    Any subset X of 1..n-1 yields a basis, so the underlying linear system
+    is never singular.  This solves the system directly; it is the
+    independent check on the closed form the reduction uses.
+    """
+    if not 1 <= i <= n - 1:
+        raise DomainError(f"index {i} out of range for CQ_{n}")
+    X = frozenset(X)
+    if any(not 1 <= j <= n - 1 for j in X):
+        raise DomainError("basis selector out of range")
     columns = []
     for j in range(1, n):
         cls = (
             DivisorClass.degeneration(n, j)
-            if j in x_set
+            if j in X
             else DivisorClass.hyperplane(n, j)
         )
         columns.append(cls.coeffs)
@@ -129,22 +178,8 @@ def _mixed_basis_expansion(n, i, frozen_x):
     for j in range(1, n):
         coeff = solution[j - 1]
         if coeff != 0:
-            out[("S" if j in x_set else "L", j)] = coeff
+            out[("S" if j in X else "L", j)] = coeff
     return out
-
-
-def l_in_mixed_basis(n, i, X):
-    """Coordinates of L_i in the basis {S_j : j in X} u {L_j : j not in X}.
-
-    Any subset X of 1..n-1 yields a basis, so the underlying linear system
-    is never singular.
-    """
-    if not 1 <= i <= n - 1:
-        raise DomainError(f"index {i} out of range for CQ_{n}")
-    X = frozenset(X)
-    if any(not 1 <= j <= n - 1 for j in X):
-        raise DomainError("basis selector out of range")
-    return dict(_mixed_basis_expansion(n, i, X))
 
 
 _product_memo = {}
@@ -162,42 +197,39 @@ def clear_caches():
 
 
 def _reduce(n, a, b, pick):
+    """Integer value of the top-degree monomial S^a L^b on CQ_n."""
     memoize = pick is None
     if memoize:
         cached = _product_memo.get((n, a, b))
         if cached is not None:
             return cached
 
-    value = None
-
-    # Surplus degeneration factors: trade one S_i for its L-expansion.
-    for i in range(n - 1):
-        if a[i] >= 2:
-            new_a = a[:i] + (a[i] - 1,) + a[i + 1 :]
-            value = Fraction(0)
-            for j, coeff in ((i - 1, -1), (i, 2), (i + 1, -1)):
-                if 0 <= j <= n - 2:
-                    new_b = b[:j] + (b[j] + 1,) + b[j + 1 :]
-                    value += coeff * _reduce(n, new_a, new_b, pick)
-            break
-
-    if value is None and all(x == 1 for x in a):
+    if max(a) >= 2:
+        # Surplus degeneration factors: trade one S_i for its L-expansion.
+        i = next(k for k, x in enumerate(a) if x >= 2)
+        new_a = a[:i] + (a[i] - 1,) + a[i + 1 :]
+        value = 0
+        for j, coeff in ((i - 1, -1), (i, 2), (i + 1, -1)):
+            if 0 <= j <= n - 2:
+                new_b = b[:j] + (b[j] + 1,) + b[j + 1 :]
+                value += coeff * _reduce(n, new_a, new_b, pick)
+    elif min(a) == 1:
         # Fully degenerate locus: a flag variety, with each L_i restricting
         # to twice a Schubert divisor.
-        value = Fraction(2 ** sum(b) * flag_integral(n, b))
-
-    if value is None:
+        value = 2 ** sum(b) * flag_integral(n, b)
+    else:
         zero_slots = [i for i in range(n - 1) if a[i] == 0]
         candidates = [i for i in zero_slots if b[i] > 0]
         if not candidates:
             # Every missing degeneration direction also misses hyperplane
             # factors, and the product dies on a smaller partial-flag locus.
-            value = Fraction(0)
+            value = 0
         else:
             i = candidates[0] if pick is None else pick(candidates)
             x_set = frozenset(j + 1 for j in zero_slots)
-            value = Fraction(0)
-            for (kind, j), coeff in _mixed_basis_expansion(n, i + 1, x_set).items():
+            denominator, expansion = _mixed_basis_expansion(n, i + 1, x_set)
+            total = 0
+            for (kind, j), coeff in expansion.items():
                 if kind == "S":
                     new_a = a[: j - 1] + (1,) + a[j:]
                     new_b = b[:i] + (b[i] - 1,) + b[i + 1 :]
@@ -207,7 +239,13 @@ def _reduce(n, a, b, pick):
                     new_b[i] -= 1
                     new_b[j - 1] += 1
                     new_b = tuple(new_b)
-                value += coeff * _reduce(n, new_a, new_b, pick)
+                total += coeff * _reduce(n, new_a, new_b, pick)
+            # Every term is a top-degree class, so the sum is an integer.
+            value, rest = divmod(total, denominator)
+            if rest:
+                raise RuntimeError(
+                    f"non-integer intersection product {total}/{denominator}"
+                )
 
     if memoize:
         _product_memo[(n, a, b)] = value
@@ -224,10 +262,7 @@ def intersection_product(product, pick=None):
     n = product.n
     if product.total_degree() != cq_dimension(n):
         raise DomainError("degree mismatch")
-    value = _reduce(n, product.a, product.b, pick)
-    if value.denominator != 1:
-        raise RuntimeError(f"non-integer intersection product {value}")
-    return int(value)
+    return _reduce(n, product.a, product.b, pick)
 
 
 def integrate_monomial(n, a, b, pick=None):

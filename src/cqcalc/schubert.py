@@ -2,13 +2,26 @@
 
 Permutations are tuples in one-line notation, w(i) = w[i-1].  Classes are
 finite integer combinations of permutations, graded by inversion number.
-Top-degree integrals extract the coefficient of the longest permutation;
-the normalization makes the class of a point integrate to 1.
 
-All functions are pure; the only shared state is the integral memo table,
-which is safe under CPython's atomic dict operations and deterministic
+Top-degree integrals of products of the divisors D_1..D_{n-1} (D_k the
+class of the transposition s_k) have two routes:
+
+* by default the Weyl volume polynomial: the integral of prod D_k^{e_k}
+  is (prod e_k!) times the coefficient of t^e in
+  prod_{i<j} (t_i + ... + t_{j-1}) / (j - i), the leading term of the Weyl
+  dimension formula;
+* with an explicit multiplication `order`, Monk's rule applied factor by
+  factor, extracting the coefficient of the longest permutation.  This is
+  the independent oracle the tests compare the default against.
+
+Both normalize the class of a point to 1, and both return exact ints.
+
+All functions are pure; the only shared state is the memo tables, which
+are safe under CPython's atomic dict operations and deterministic
 regardless of call interleaving.
 """
+
+from math import factorial, prod
 
 from .exactmath import DomainError, binomial
 
@@ -144,11 +157,12 @@ def monk_multiply_combination(i, comb):
 def flag_integral(n, b, order=None):
     """Top intersection number of hyperplane-type generators on Fl_n.
 
-    b lists the exponents of the generators attached to slots 1..n-1; slot i
-    multiplies by the class of the transposition s_{n-i}.  The exponents must
-    sum to C(n,2), the dimension of Fl_n.  `order` overrides the default
-    multiplication schedule (descending remaining multiplicity) and exists
-    because the result provably does not depend on it; tests shuffle it.
+    b lists the exponents of the generators attached to slots 1..n-1; slot s
+    multiplies by the class of the transposition s_{n-s}.  The exponents must
+    sum to C(n,2), the dimension of Fl_n.  By default the value comes from
+    the Weyl volume polynomial and is memoized; an explicit `order` (a
+    sequence of slots, each slot s repeated b_s times) computes it with
+    Monk's rule in that order instead, which the tests use as the oracle.
     """
     b = tuple(b)
     if n < 2 or len(b) != n - 1:
@@ -157,34 +171,66 @@ def flag_integral(n, b, order=None):
         raise DomainError("negative exponent")
     if sum(b) != binomial(n, 2):
         raise DomainError("degree mismatch")
-
-    if order is None:
-        key = (n, b)
-        cached = _integral_memo.get(key)
-        if cached is not None:
-            return cached
-
-    result = _flag_integral_uncached(n, b, order)
-    if order is None:
-        _integral_memo[(n, b)] = result
-    return result
+    if order is not None:
+        return _monk_integral(n, b, order)
+    key = (n, b)
+    cached = _integral_memo.get(key)
+    if cached is None:
+        cached = _integral_memo[key] = _weyl_integral(n, b)
+    return cached
 
 
-def _flag_integral_uncached(n, b, order):
-    if order is None:
-        remaining = list(b)
-        schedule = []
-        while any(remaining):
-            slot = max(range(n - 1), key=lambda s: (remaining[s], -s))
-            schedule.append(slot + 1)
-            remaining[slot] -= 1
-    else:
-        schedule = list(order)
-        counts = [0] * (n - 1)
-        for slot in schedule:
-            counts[slot - 1] += 1
-        if tuple(counts) != b:
-            raise DomainError("order does not match exponents")
+def _weyl_integral(n, b):
+    """(prod b_s!) [t^e] prod_{i<j} (t_i+...+t_{j-1}) / prod_{i<j} (j-i),
+    where slot s carries t_{n-s}, so e is b reversed.
+
+    The n-1 single-variable factors t_i take one from every exponent (and
+    kill the integral when some exponent is 0).  The rest are distributed by
+    counting how many ways each interval factor t_lo+...+t_hi can hand its
+    degree to one of its variables; a state is the tuple of exponents still
+    needed, and `cover[m]` counts the factors not yet dealt that contain
+    t_m, so a variable needing that many must take the current factor.
+    """
+    if 0 in b:
+        return 0
+    need = tuple(x - 1 for x in reversed(b))
+    size = n - 1
+    # intervals [lo, hi] of 0..size-1 containing m, less the singleton
+    cover = [(m + 1) * (size - m) - 1 for m in range(size)]
+    if any(x > c for x, c in zip(need, cover)):
+        return 0
+    states = {need: 1}
+    for lo in range(size - 1):
+        for hi in range(lo + 1, size):
+            span = range(lo, hi + 1)
+            out = {}
+            for state, ways in states.items():
+                tight = [m for m in span if state[m] == cover[m]]
+                if len(tight) > 1:
+                    continue
+                for m in tight or [m for m in span if state[m]]:
+                    nxt = state[:m] + (state[m] - 1,) + state[m + 1 :]
+                    out[nxt] = out.get(nxt, 0) + ways
+            for m in span:
+                cover[m] -= 1
+            states = out
+    numerator = states.get((0,) * size, 0) * prod(factorial(x) for x in b)
+    denominator = prod(factorial(k) for k in range(1, n))
+    value, rest = divmod(numerator, denominator)
+    if rest:
+        raise RuntimeError(f"non-integer flag integral {numerator}/{denominator}")
+    return value
+
+
+def _monk_integral(n, b, order):
+    schedule = list(order)
+    counts = [0] * (n - 1)
+    for slot in schedule:
+        if not 1 <= slot <= n - 1:
+            raise DomainError(f"slot {slot} out of range for n={n}")
+        counts[slot - 1] += 1
+    if tuple(counts) != b:
+        raise DomainError("order does not match exponents")
 
     terms = {tuple(range(1, n + 1)): 1}
     for slot in schedule:

@@ -199,3 +199,17 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2"
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (("matroid", "reduced", "--uniform", "3"), "--uniform takes rank,size"),
+    (("cells", "weight", "--sigma", "a|b"), "--sigma takes digit blocks"),
+    (("segre", "mu", "--data", "[1]", "--i", "1"), "must be a JSON object"),
+    (("segre", "nu", "--data", '{"degF":4,"nL":2,"mY":1,"s":5}', "--i", "1"),
+     "needs integers"),
+])
+def test_malformed_values_are_usage_errors(capsys, argv, needle):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and needle in err

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from cqcalc.exactmath import DomainError, UnivariatePolynomial, binomial
 from cqcalc.quadrics import (
+    _mixed_basis_expansion,
     CQProduct,
     DivisorClass,
     cq_dimension,
@@ -55,13 +56,32 @@ def test_mixed_basis_full_x_closed_form():
                 assert expansion.get(("S", j), Fraction(0)) == expected
 
 
+def test_closed_form_mixed_basis_equals_solve():
+    # the reduction's closed form (integer numerators over one denominator)
+    # against the direct linear solve, for every n <= 8, i and X
+    for n in range(2, 9):
+        indices = range(1, n)
+        for r in range(n):
+            for x_tuple in combinations(indices, r):
+                x_set = frozenset(x_tuple)
+                for i in indices:
+                    denominator, numerators = _mixed_basis_expansion(n, i, x_set)
+                    closed = {key: Fraction(num, denominator) for key, num in numerators.items()}
+                    assert closed == l_in_mixed_basis(n, i, x_set), (n, i, x_tuple)
+
+
+def test_values_are_ints():
+    assert type(integrate_monomial(4, (1, 0, 0), (2, 2, 4))) is int
+    assert type(integrate_monomial(3, (0, 0), (3, 2), pick=lambda c: c[-1])) is int
+    assert type(phi(4, 3)) is int
+    assert type(delta(2, 3, 2)) is int
+
+
 def test_mixed_basis_round_trip():
     # substituting the degeneration relation back must return L_i exactly
     for n in range(2, 6):
         indices = list(range(1, n))
         for r in range(len(indices) + 1):
-            from itertools import combinations
-
             for x_tuple in combinations(indices, r):
                 x_set = set(x_tuple)
                 for i in indices:

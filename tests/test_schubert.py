@@ -118,3 +118,34 @@ def test_monk_multiply_combination_linear():
             expected[v] = expected.get(v, 0) + c * m
     assert product.terms == expected
     assert product.is_homogeneous()
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_weyl_volume_equals_monk_on_every_composition():
+    # the default (Weyl volume polynomial) against Monk's rule driven
+    # through an explicit schedule, zeros included: 3,876 exponent
+    # vectors at n = 6
+    counts = {}
+    for n in range(2, 7):
+        for b in _compositions(binomial(n, 2), n - 1):
+            schedule = [slot for slot, count in enumerate(b, start=1) for _ in range(count)]
+            value = flag_integral(n, b)
+            assert type(value) is int
+            assert value == flag_integral(n, b, order=schedule), (n, b)
+            counts[n] = counts.get(n, 0) + 1
+    assert counts[6] == 3876
+
+
+def test_flag_integral_rejects_bad_schedule():
+    with pytest.raises(DomainError, match="order does not match"):
+        flag_integral(3, (1, 2), order=(1, 1, 2))
+    with pytest.raises(DomainError, match="out of range"):
+        flag_integral(3, (1, 2), order=(1, 2, 3))
