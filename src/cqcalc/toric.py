@@ -7,6 +7,18 @@ Multiplication by a divisor uses the linear relations of the presentation
 to rewrite repeated rays; on a smooth fan the needed dual functionals are
 integral rows of inverted cone matrices.
 
+Which route answers:
+
+* cone membership: each ray carries a bit mask of the maximal cones that
+  contain it, and a ray set spans a cone iff the AND of its masks is
+  nonzero (memoized per ray set); the lowest set bit is the first maximal
+  cone containing the set;
+* dual functionals: one `solve_linear_system` per (maximal cone, ray),
+  cached with its row, the nonzero coefficients -<m, u_sigma> over the
+  rays outside the cone, which is all a product needs;
+* smoothness: cone determinants by fraction-free (Bareiss) integer
+  elimination.
+
 The permutohedral fan has one ray per proper nonempty subset S of
 {1..n+1} (the image of the indicator vector of S in the quotient lattice)
 and one maximal cone per maximal chain of subsets.
@@ -21,8 +33,8 @@ from .exactmath import DomainError, solve_linear_system
 class Fan:
     """Rational fan, assumed (and checkable) smooth and complete."""
 
-    __slots__ = ("rank", "rays", "maximal_cones", "_cone_lookup", "_dual_cache",
-                 "ray_labels", "subsets")
+    __slots__ = ("rank", "rays", "maximal_cones", "_ray_cones", "_cone_lookup",
+                 "_dual_cache", "ray_labels", "subsets")
 
     def __init__(self, rank, rays, maximal_cones, ray_labels=None):
         self.subsets = None
@@ -39,20 +51,34 @@ class Fan:
                 raise DomainError("maximal cone must have rank many rays")
             cones.append(cone)
         self.maximal_cones = tuple(sorted(cones, key=sorted))
+        # Ray index -> bit mask of the maximal cones containing the ray.  A
+        # dict, so a ray index outside the fan reads as no cone at all.
+        self._ray_cones = dict.fromkeys(range(len(self.rays)), 0)
+        for bit, cone in enumerate(self.maximal_cones):
+            for i in cone:
+                self._ray_cones[i] |= 1 << bit
+        # Ray set -> mask of the maximal cones containing it (0: no cone).
         self._cone_lookup = {}
+        # (maximal cone index, ray) -> (dual functional, its nonzero row).
         self._dual_cache = {}
         self.ray_labels = tuple(ray_labels) if ray_labels else tuple(
             f"x{i+1}" for i in range(len(self.rays))
         )
 
+    def _cones_containing(self, ray_set):
+        key = frozenset(ray_set)
+        mask = self._cone_lookup.get(key)
+        if mask is None:
+            mask = (1 << len(self.maximal_cones)) - 1
+            ray_cones = self._ray_cones
+            for i in key:
+                mask &= ray_cones.get(i, 0)
+            self._cone_lookup[key] = mask
+        return mask
+
     def spans_cone(self, ray_set):
         """True iff the rays span a cone of the fan (a face of a maximal cone)."""
-        key = frozenset(ray_set)
-        cached = self._cone_lookup.get(key)
-        if cached is None:
-            cached = any(key <= cone for cone in self.maximal_cones)
-            self._cone_lookup[key] = cached
-        return cached
+        return self._cones_containing(ray_set) != 0
 
     def check_smooth(self):
         """Every maximal cone's rays must form a basis of the lattice."""
@@ -76,46 +102,62 @@ class Fan:
 
     def dual_functional(self, cone_subset, ray_index):
         """Integer functional m with <m, u_ray> = 1 on `ray_index` and 0 on
-        the other rays of the smallest maximal cone containing the subset."""
-        key = (frozenset(cone_subset), ray_index)
+        the other rays of the first maximal cone containing the subset."""
+        return self._dual(cone_subset, ray_index)[0]
+
+    def _dual(self, cone_subset, ray_index):
+        """The dual functional m of `dual_functional` and its row: the pairs
+        (sigma, -<m, u_sigma>) over the rays sigma outside that maximal cone
+        where the value is nonzero (inside it, m vanishes off `ray_index`)."""
+        mask = self._cones_containing(cone_subset)
+        if not mask:
+            raise DomainError("subset spans no cone")
+        parent = (mask & -mask).bit_length() - 1
+        key = (parent, ray_index)
         cached = self._dual_cache.get(key)
         if cached is not None:
             return cached
-        subset = frozenset(cone_subset)
-        parent = next(
-            (c for c in self.maximal_cones if subset <= c), None
-        )
-        if parent is None:
-            raise DomainError("subset spans no cone")
-        order = sorted(parent)
+        cone = self.maximal_cones[parent]
+        order = sorted(cone)
         matrix = [list(self.rays[i]) for i in order]
         rhs = [1 if i == ray_index else 0 for i in order]
         m = solve_linear_system(matrix, rhs)
         if any(c.denominator != 1 for c in m):
             raise DomainError("fan not smooth")
         m = tuple(c.numerator for c in m)
-        self._dual_cache[key] = m
-        return m
+        row = []
+        for sigma, u in enumerate(self.rays):
+            if sigma not in cone:
+                c = -sum(a * b for a, b in zip(m, u))
+                if c:
+                    row.append((sigma, c))
+        cached = self._dual_cache[key] = (m, tuple(row))
+        return cached
 
 
 def _det(matrix):
-    n = len(matrix)
-    work = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact, so the entries stay integers."""
+    work = [list(row) for row in matrix]
+    n = len(work)
+    sign, previous = 1, 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != col:
             work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = 1 / work[col][col]
+            sign = -sign
+        top = work[col]
         for r in range(col + 1, n):
-            if work[r][col] != 0:
-                factor = work[r][col] * inv
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return det
+            row = work[r]
+            lead = row[col]
+            work[r] = [0] * (col + 1) + [
+                (row[j] * top[col] - lead * top[j]) // previous
+                for j in range(col + 1, n)
+            ]
+        previous = top[col]
+    return sign * previous
 
 
 class ToricClass:
@@ -170,32 +212,19 @@ def multiply_by_divisor(cls, divisor):
     """
     fan = cls.fan
     out = {}
-
-    def add(key, coeff):
-        if coeff:
-            out[key] = out.get(key, Fraction(0)) + coeff
-
+    divisor = [(ray, Fraction(d)) for ray, d in divisor.items()]
     for key, coeff in cls.terms.items():
-        for ray, d in divisor.items():
-            d = Fraction(d)
-            if d == 0:
-                continue
+        for ray, d in divisor:
             scale = coeff * d
-            if ray not in key:
-                new = key | {ray}
-                if fan.spans_cone(new):
-                    add(new, scale)
+            if not scale:
                 continue
-            m = fan.dual_functional(key, ray)
-            for sigma, u in enumerate(fan.rays):
-                if sigma in key:
-                    continue
-                c = -sum(a * b for a, b in zip(m, u))
-                if c == 0:
-                    continue
+            if scale.denominator == 1:
+                scale = scale.numerator  # integer arithmetic in the loop below
+            row = fan._dual(key, ray)[1] if ray in key else ((ray, 1),)
+            for sigma, c in row:
                 new = key | {sigma}
                 if fan.spans_cone(new):
-                    add(new, scale * c)
+                    out[new] = out.get(new, 0) + scale * c
     return ToricClass(fan, cls.degree + 1, out)
 
 

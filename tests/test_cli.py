@@ -88,6 +88,16 @@ def test_matroid_uniform_and_euler(capsys):
     assert code == 0 and out.strip() == "0"
 
 
+def test_deep_deletion_contraction(capsys):
+    # 1500 levels of deletion-contraction, past the default recursion limit
+    code, out, err = run_cli(capsys, "matroid", "charpoly", "--uniform", "1,1500",
+                             "--format", "json")
+    assert code == 0 and err == ""
+    result = json.loads(out)["result"]
+    assert result["characteristic"]["coefficients"] == [-1, 1]
+    assert result["reduced"] == [1]
+
+
 def test_cells_histogram_flag(capsys):
     code, out, _ = run_cli(capsys, "cells", "--n", "3", "--histogram")
     assert code == 0
@@ -135,6 +145,16 @@ def test_toric_commands(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "toric", "integral", "--fan", str(fan_file),
                            "--class", cls)
     assert code == 0 and out.strip() == "1"
+
+
+@pytest.mark.parametrize("rays", [[99, 1], [0, 1]])
+def test_toric_ray_index_outside_fan(capsys, rays):
+    # 1-based on the command line: 99 is past the six rays, 0 becomes -1
+    cls = json.dumps([{"rays": rays, "coeff": 1}])
+    code, out, err = run_cli(capsys, "toric", "integral", "--permutohedral", "2",
+                             "--class", cls)
+    assert code == 3 and out == ""
+    assert err == "error: term does not span a cone\n"
 
 
 def test_segre_commands(tmp_path, capsys):

@@ -126,6 +126,33 @@ def test_characteristic_polynomial_two_routes_agree():
     )
 
 
+def test_deletion_contraction_matches_whitney_on_families():
+    # every labelled simple graph on 4 vertices
+    pairs = list(combinations(range(1, 5), 2))
+    for bits in range(1 << len(pairs)):
+        g = Graph(4, [p for k, p in enumerate(pairs) if bits >> k & 1])
+        m = matroid_from_graph(g)
+        assert characteristic_polynomial(m) == characteristic_polynomial(
+            m, method="whitney"
+        ), g.edges
+    # every uniform matroid on at most 7 elements
+    for n in range(8):
+        for r in range(n + 1):
+            m = uniform_matroid(r, n)
+            assert characteristic_polynomial(m) == characteristic_polynomial(
+                m, method="whitney"
+            ), (r, n)
+    # seeded linear matroids (12 of the 40 have a loop)
+    rng = random.Random(17)
+    for _ in range(40):
+        n, a = rng.randint(1, 7), rng.randint(1, 3)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(a)]
+        m = matroid_from_subspace(rows)
+        assert characteristic_polynomial(m) == characteristic_polynomial(
+            m, method="whitney"
+        ), rows
+
+
 def test_chi_at_one_vanishes():
     for name, g in _graph_corpus().items():
         m = matroid_from_graph(g)

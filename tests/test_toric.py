@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from cqcalc.exactmath import DomainError, is_log_concave
+from cqcalc.exactmath import DomainError, is_log_concave, solve_linear_system
 from cqcalc.matroid import reduced_characteristic_coefficients, uniform_matroid
 from cqcalc.toric import (
     Fan,
     ToricClass,
+    _det,
     format_fan,
     multiply_by_divisor,
     mu_generic,
@@ -122,6 +124,7 @@ def test_mu_generic_values():
     assert mu_generic(1) == [1, 1]
     assert mu_generic(2) == [1, 2, 1]
     assert mu_generic(3) == [1, 3, 3, 1]
+    assert mu_generic(5) == [1, 5, 10, 10, 5, 1]
 
 
 def test_mu_generic_matches_uniform_matroid():
@@ -188,3 +191,81 @@ def test_incomplete_fan_detected():
     fan = Fan(2, [(1, 0), (0, 1)], [(0, 1)])
     with pytest.raises(DomainError, match="not complete"):
         fan.check_complete()
+
+
+def test_spans_cone_matches_linear_scan():
+    for n in (1, 2, 3):
+        fan = permutohedral_fan(n)
+        for size in range(n + 1):
+            for subset in combinations(range(len(fan.rays)), size):
+                scan = any(frozenset(subset) <= cone for cone in fan.maximal_cones)
+                assert fan.spans_cone(subset) == scan, (n, subset)
+        # ray indices outside the fan span nothing, and -1 does not wrap
+        assert not fan.spans_cone({len(fan.rays)})
+        assert not fan.spans_cone({-1})
+        assert not fan.spans_cone({0, -1})
+
+
+def test_dual_rows_match_linear_solve():
+    for n in (1, 2, 3):
+        fan = permutohedral_fan(n)
+        for cone in fan.maximal_cones:
+            order = sorted(cone)
+            matrix = [list(fan.rays[i]) for i in order]
+            for ray in order:
+                m = solve_linear_system(matrix, [1 if i == ray else 0 for i in order])
+                assert fan.dual_functional(cone, ray) == tuple(m)
+                values = [-sum(a * b for a, b in zip(m, u)) for u in fan.rays]
+                # on the cone's own rays m is the indicator of `ray`
+                assert all(values[i] == (-1 if i == ray else 0) for i in order)
+                row = tuple((s, v) for s, v in enumerate(values) if s not in cone and v)
+                assert fan._dual(cone, ray)[1] == row
+                # a face gets the functional of the first maximal cone above it
+                face = frozenset({ray})
+                parent = next(c for c in fan.maximal_cones if face <= c)
+                assert fan.dual_functional(face, ray) == fan.dual_functional(parent, ray)
+
+
+def _det_by_fractions(matrix):
+    """Determinant by Gaussian elimination over the rationals."""
+    n = len(matrix)
+    work = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        det *= work[col][col]
+        for r in range(col + 1, n):
+            factor = work[r][col] / work[col][col]
+            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+    return det
+
+
+def test_bareiss_det_matches_fraction_elimination():
+    rng = random.Random(41)
+    matrices = [[], [[0]], [[0, 1], [1, 0]], [[0, 0], [1, 2]]]
+    for size in range(1, 7):
+        for _ in range(40):
+            m = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
+            matrices.append(m)
+            # a zero leading pivot forces a row swap
+            swapped = [row[:] for row in m]
+            swapped[0][0] = 0
+            matrices.append(swapped)
+            if size > 1:
+                # last row a combination of rows 0 and size-2: singular
+                k = rng.randint(-3, 3)
+                singular = [row[:] for row in m]
+                singular[-1] = [k * a + b for a, b in zip(m[0], m[size - 2])]
+                matrices.append(singular)
+    singular_count = 0
+    for m in matrices:
+        expected = _det_by_fractions(m)
+        got = _det(m)
+        assert isinstance(got, int) and got == expected, m
+        singular_count += expected == 0
+    assert singular_count >= 200
