@@ -203,7 +203,7 @@ def _cmd_matroid_charpoly(args):
     poly = matroid_mod.characteristic_polynomial(m)
     result = {"characteristic": poly, "reduced": None}
     if not poly.is_zero() and m.full_rank() >= 1:
-        result["reduced"] = list(matroid_mod.reduced_characteristic_coefficients(m))
+        result["reduced"] = list(matroid_mod.reduced_coefficients(poly))
     return result, echo
 
 
@@ -399,146 +399,184 @@ def _add_common(sub):
     )
 
 
-def build_parser():
+def _leaf(handler, configure):
+    """A subcommand that runs `handler`, with the arguments `configure` adds
+    and the common ones; returns add(subparsers, name, prefix)."""
+
+    def add(subparsers, name, prefix=""):
+        sub = subparsers.add_parser(name)
+        configure(sub)
+        _add_common(sub)
+        sub.set_defaults(handler=handler, command_name=f"{prefix}{name}")
+
+    return add
+
+
+def _group(actions):
+    """A subcommand that only chooses one of `actions` (name -> add)."""
+
+    def add(subparsers, name):
+        sub = subparsers.add_parser(name).add_subparsers(dest="action", required=True)
+        for action, add_action in actions.items():
+            add_action(sub, action, prefix=f"{name} ")
+
+    return add
+
+
+def _add_cells(subparsers, name):
+    cells = subparsers.add_parser(name)
+    cells.add_argument("--n", type=int)
+    cells.add_argument("--histogram", action="store_true")
+    _add_common(cells)
+    cells.set_defaults(handler=_cmd_cells, command_name=name)
+    actions = cells.add_subparsers(dest="action")
+    for action, add_action in _CELLS_ACTIONS.items():
+        add_action(actions, action, prefix=f"{name} ")
+
+
+def _matroid_source(s):
+    s.add_argument("--graph", help="graph file: 'v e' header then edge lines")
+    s.add_argument("--uniform", help="rank,size")
+    s.add_argument("--matrix", help="JSON rows spanning the subspace (or @file)")
+
+
+def _fan_source(s):
+    s.add_argument("--fan", help="fan file: 'rank #rays #cones' header")
+    s.add_argument("--permutohedral", type=int, help="use the built-in fan")
+
+
+_CELLS_ACTIONS = {
+    "enumerate": _leaf(_cmd_cells_enumerate, lambda s: (
+        s.add_argument("--n", type=int, required=True),
+    )),
+    "weight": _leaf(_cmd_cells_weight, lambda s: (
+        s.add_argument("--sigma", required=True, help='bar syntax, e.g. "2|13"'),
+    )),
+    "param": _leaf(_cmd_cells_param, lambda s: (
+        s.add_argument("--sigma", required=True),
+    )),
+    "verify": _leaf(_cmd_cells_verify, lambda s: (
+        s.add_argument("--sigma", required=True),
+        s.add_argument("--values", help='assignments like "x13=1,x23=-2/3,y1=5"'),
+        s.add_argument("--random", action="store_true"),
+        s.add_argument("--seed", type=int, default=0),
+    )),
+}
+
+# The top-level subcommands, in usage order: name -> add(subparsers, name).
+_COMMANDS = {
+    "phi": _leaf(_cmd_phi, lambda s: (
+        s.add_argument("--n", type=int, required=True),
+        s.add_argument("--d", type=int, required=True),
+    )),
+    "phi-poly": _leaf(_cmd_phi_poly, lambda s: (
+        s.add_argument("--d", type=int, required=True),
+        s.add_argument("--jobs", type=int, default=1),
+    )),
+    "delta": _leaf(_cmd_delta, lambda s: (
+        s.add_argument("--m", type=int, required=True),
+        s.add_argument("--n", type=int, required=True),
+        s.add_argument("--r", type=int, required=True),
+    )),
+    "delta-poly": _leaf(_cmd_delta_poly, lambda s: (
+        s.add_argument("--m", type=int, required=True),
+        s.add_argument("--s", type=int, required=True),
+        s.add_argument("--jobs", type=int, default=1),
+    )),
+    "phi-c": _leaf(_cmd_phi_c, lambda s: (
+        s.add_argument("--n", type=int, required=True),
+        s.add_argument("--c", type=int, required=True),
+        s.add_argument("--d", type=int, required=True),
+    )),
+    "product": _leaf(_cmd_product, lambda s: (
+        s.add_argument("--n", type=int, required=True),
+        s.add_argument("--a", required=True, help="comma-separated exponents of S_1..S_{n-1}"),
+        s.add_argument("--b", required=True, help="comma-separated exponents of L_1..L_{n-1}"),
+    )),
+    "pataki": _leaf(_cmd_pataki, lambda s: (
+        s.add_argument("--m", type=int, required=True),
+        s.add_argument("--n", type=int, required=True),
+        s.add_argument("--r", type=int, required=True),
+    )),
+    "flag-integral": _leaf(_cmd_flag_integral, lambda s: (
+        s.add_argument("--n", type=int, required=True),
+        s.add_argument("--b", required=True),
+    )),
+    "monk": _leaf(_cmd_monk, lambda s: (
+        s.add_argument("--i", type=int, required=True),
+        s.add_argument("--w", required=True, help="one-line notation, e.g. 2,1,3"),
+    )),
+    "hypersurface-count": _leaf(_cmd_hypersurface, lambda s: (
+        s.add_argument("--d", type=int, required=True),
+        s.add_argument("--n", type=int, required=True),
+        s.add_argument("--b", type=int, required=True),
+    )),
+    "matroid": _group({
+        "charpoly": _leaf(_cmd_matroid_charpoly, _matroid_source),
+        "reduced": _leaf(_cmd_matroid_reduced, _matroid_source),
+        "chromatic": _leaf(_cmd_matroid_chromatic, _matroid_source),
+        "euler": _leaf(_cmd_matroid_euler, lambda s: (
+            s.add_argument("--nu", required=True, help="comma-separated integers"),
+        )),
+    }),
+    "toric": _group({
+        "fan-check": _leaf(_cmd_toric_fan_check, _fan_source),
+        "mu-generic": _leaf(_cmd_toric_mu_generic, lambda s: (
+            s.add_argument("--n", type=int, required=True),
+        )),
+        "integral": _leaf(_cmd_toric_integral, lambda s: (
+            _fan_source(s),
+            s.add_argument(
+                "--class", dest="cls", required=True,
+                help='JSON like [{"rays":[1,4],"coeff":1}, ...] (or @file)',
+            ),
+        )),
+    }),
+    "cells": _add_cells,
+    "segre": _group({
+        "mu": _leaf(_cmd_segre_mu, lambda s: (
+            s.add_argument("--data", required=True, help="JSON Segre data (or @file)"),
+            s.add_argument("--i", type=int, required=True),
+        )),
+        "nu": _leaf(_cmd_segre_nu, lambda s: (
+            s.add_argument("--data", required=True),
+            s.add_argument("--i", type=int, required=True),
+        )),
+        "correct": _leaf(_cmd_segre_correct, lambda s: (
+            s.add_argument("--mu", type=int, required=True),
+            s.add_argument("--n", type=int, required=True),
+            s.add_argument("--s", default="", help="comma-separated Segre degrees"),
+        )),
+        "compare": _leaf(_cmd_segre_compare, lambda s: (
+            s.add_argument("--mu", required=True),
+            s.add_argument("--nu", required=True),
+        )),
+    }),
+}
+
+
+def build_parser(argv=None):
+    """The `cq` parser.  When argv[0] names a top-level subcommand, only that
+    subcommand is built: a cold process then skips the other thirty-odd
+    parsers, and what argv can reach parses, helps and errs exactly as in
+    the full parser.  Otherwise (no argv, an option or an unknown name)
+    every subcommand is built."""
     parser = argparse.ArgumentParser(
         prog="cq",
         description="Exact intersection-theory calculators for complete "
         "quadrics, flag varieties, matroids and toric Chow rings.",
     )
     top = parser.add_subparsers(dest="command")
-
-    def leaf(subparsers, name, handler, configure, prefix=""):
-        sub = subparsers.add_parser(name)
-        configure(sub)
-        _add_common(sub)
-        sub.set_defaults(handler=handler, command_name=f"{prefix}{name}")
-        return sub
-
-    leaf(top, "phi", _cmd_phi, lambda s: (
-        s.add_argument("--n", type=int, required=True),
-        s.add_argument("--d", type=int, required=True),
-    ))
-    leaf(top, "phi-poly", _cmd_phi_poly, lambda s: (
-        s.add_argument("--d", type=int, required=True),
-        s.add_argument("--jobs", type=int, default=1),
-    ))
-    leaf(top, "delta", _cmd_delta, lambda s: (
-        s.add_argument("--m", type=int, required=True),
-        s.add_argument("--n", type=int, required=True),
-        s.add_argument("--r", type=int, required=True),
-    ))
-    leaf(top, "delta-poly", _cmd_delta_poly, lambda s: (
-        s.add_argument("--m", type=int, required=True),
-        s.add_argument("--s", type=int, required=True),
-        s.add_argument("--jobs", type=int, default=1),
-    ))
-    leaf(top, "phi-c", _cmd_phi_c, lambda s: (
-        s.add_argument("--n", type=int, required=True),
-        s.add_argument("--c", type=int, required=True),
-        s.add_argument("--d", type=int, required=True),
-    ))
-    leaf(top, "product", _cmd_product, lambda s: (
-        s.add_argument("--n", type=int, required=True),
-        s.add_argument("--a", required=True, help="comma-separated exponents of S_1..S_{n-1}"),
-        s.add_argument("--b", required=True, help="comma-separated exponents of L_1..L_{n-1}"),
-    ))
-    leaf(top, "pataki", _cmd_pataki, lambda s: (
-        s.add_argument("--m", type=int, required=True),
-        s.add_argument("--n", type=int, required=True),
-        s.add_argument("--r", type=int, required=True),
-    ))
-    leaf(top, "flag-integral", _cmd_flag_integral, lambda s: (
-        s.add_argument("--n", type=int, required=True),
-        s.add_argument("--b", required=True),
-    ))
-    leaf(top, "monk", _cmd_monk, lambda s: (
-        s.add_argument("--i", type=int, required=True),
-        s.add_argument("--w", required=True, help="one-line notation, e.g. 2,1,3"),
-    ))
-    leaf(top, "hypersurface-count", _cmd_hypersurface, lambda s: (
-        s.add_argument("--d", type=int, required=True),
-        s.add_argument("--n", type=int, required=True),
-        s.add_argument("--b", type=int, required=True),
-    ))
-
-    matroid = top.add_parser("matroid").add_subparsers(dest="action", required=True)
-
-    def matroid_source(s):
-        s.add_argument("--graph", help="graph file: 'v e' header then edge lines")
-        s.add_argument("--uniform", help="rank,size")
-        s.add_argument("--matrix", help="JSON rows spanning the subspace (or @file)")
-
-    leaf(matroid, "charpoly", _cmd_matroid_charpoly, matroid_source, prefix="matroid ")
-    leaf(matroid, "reduced", _cmd_matroid_reduced, matroid_source, prefix="matroid ")
-    leaf(matroid, "chromatic", _cmd_matroid_chromatic, matroid_source, prefix="matroid ")
-    leaf(matroid, "euler", _cmd_matroid_euler, prefix="matroid ", configure=lambda s: (
-        s.add_argument("--nu", required=True, help="comma-separated integers"),
-    ))
-
-    toric = top.add_parser("toric").add_subparsers(dest="action", required=True)
-
-    def fan_source(s):
-        s.add_argument("--fan", help="fan file: 'rank #rays #cones' header")
-        s.add_argument("--permutohedral", type=int, help="use the built-in fan")
-
-    leaf(toric, "fan-check", _cmd_toric_fan_check, fan_source, prefix="toric ")
-    leaf(toric, "mu-generic", _cmd_toric_mu_generic, prefix="toric ", configure=lambda s: (
-        s.add_argument("--n", type=int, required=True),
-    ))
-    leaf(toric, "integral", _cmd_toric_integral, prefix="toric ", configure=lambda s: (
-        fan_source(s),
-        s.add_argument(
-            "--class", dest="cls", required=True,
-            help='JSON like [{"rays":[1,4],"coeff":1}, ...] (or @file)',
-        ),
-    ))
-
-    cells = top.add_parser("cells")
-    cells.add_argument("--n", type=int)
-    cells.add_argument("--histogram", action="store_true")
-    _add_common(cells)
-    cells.set_defaults(handler=_cmd_cells, command_name="cells")
-    cells_actions = cells.add_subparsers(dest="action")
-    leaf(cells_actions, "enumerate", _cmd_cells_enumerate, prefix="cells ", configure=lambda s: (
-        s.add_argument("--n", type=int, required=True),
-    ))
-    leaf(cells_actions, "weight", _cmd_cells_weight, prefix="cells ", configure=lambda s: (
-        s.add_argument("--sigma", required=True, help='bar syntax, e.g. "2|13"'),
-    ))
-    leaf(cells_actions, "param", _cmd_cells_param, prefix="cells ", configure=lambda s: (
-        s.add_argument("--sigma", required=True),
-    ))
-    leaf(cells_actions, "verify", _cmd_cells_verify, prefix="cells ", configure=lambda s: (
-        s.add_argument("--sigma", required=True),
-        s.add_argument("--values", help='assignments like "x13=1,x23=-2/3,y1=5"'),
-        s.add_argument("--random", action="store_true"),
-        s.add_argument("--seed", type=int, default=0),
-    ))
-
-    segre = top.add_parser("segre").add_subparsers(dest="action", required=True)
-    leaf(segre, "mu", _cmd_segre_mu, prefix="segre ", configure=lambda s: (
-        s.add_argument("--data", required=True, help="JSON Segre data (or @file)"),
-        s.add_argument("--i", type=int, required=True),
-    ))
-    leaf(segre, "nu", _cmd_segre_nu, prefix="segre ", configure=lambda s: (
-        s.add_argument("--data", required=True),
-        s.add_argument("--i", type=int, required=True),
-    ))
-    leaf(segre, "correct", _cmd_segre_correct, prefix="segre ", configure=lambda s: (
-        s.add_argument("--mu", type=int, required=True),
-        s.add_argument("--n", type=int, required=True),
-        s.add_argument("--s", default="", help="comma-separated Segre degrees"),
-    ))
-    leaf(segre, "compare", _cmd_segre_compare, prefix="segre ", configure=lambda s: (
-        s.add_argument("--mu", required=True),
-        s.add_argument("--nu", required=True),
-    ))
-
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
+        _COMMANDS[name](top, name)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     if not hasattr(args, "handler"):
         parser.print_usage(sys.stderr)

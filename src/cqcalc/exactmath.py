@@ -17,6 +17,50 @@ class DomainError(ValueError):
     """Raised when an operation is called outside its mathematical domain."""
 
 
+class FrozenRecord:
+    """Immutable value whose fields are its `__slots__`, in order.
+
+    Equality, hash, repr (`Name(field=value, ...)`) and pickling go by the
+    field values; assigning or deleting a field raises AttributeError.  This
+    is what a frozen dataclass provides, without importing `dataclasses`
+    (and with it `inspect`) into every process.  A subclass validates its
+    arguments in `__init__` and then passes every field to
+    `FrozenRecord.__init__`, in slot order.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 def binomial(n, k):
     """Binomial coefficient C(n, k) with C(n, k) = 0 for k < 0, k > n or n < 0."""
     if k < 0 or n < 0 or k > n:

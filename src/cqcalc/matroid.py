@@ -133,10 +133,11 @@ def matroid_from_subspace(rows):
     base_rank = matrix_rank(rows)
 
     def rank(subset):
-        unit_rows = [
-            tuple(1 if j == i else 0 for j in range(ncols)) for i in sorted(subset)
-        ]
-        return matrix_rank(rows + unit_rows) - base_rank
+        # The unit vectors of S together with V span |S| dimensions plus
+        # those of V restricted to the columns outside S.
+        kept = [j for j in range(ncols) if j not in subset]
+        restricted = [[row[j] for j in kept] for row in rows]
+        return len(subset) + matrix_rank(restricted) - base_rank
 
     return Matroid(ncols, rank, ("linear", tuple(rows)))
 
@@ -213,7 +214,12 @@ def reduced_characteristic_coefficients(m):
     polynomial divided exactly by (x - 1)."""
     if m.full_rank() < 1:
         raise DomainError("matroid must have rank >= 1")
-    chi = characteristic_polynomial(m)
+    return reduced_coefficients(characteristic_polynomial(m))
+
+
+def reduced_coefficients(chi):
+    """Unsigned coefficients, top degree first, of chi / (x - 1), for a
+    characteristic polynomial chi already in hand."""
     quotient, remainder = chi.divide_by_linear(1)
     if remainder != 0 or chi.is_zero():
         raise DomainError("chi_M(1) != 0")

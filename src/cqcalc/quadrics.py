@@ -31,12 +31,12 @@ shared state and individual dict operations are atomic, so concurrent
 callers always read complete entries.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .exactmath import (
     DomainError,
+    FrozenRecord,
     UnivariatePolynomial,
     binomial,
     interpolate,
@@ -98,24 +98,21 @@ class DivisorClass:
         return f"DivisorClass({self.n}, {list(self.coeffs)!r})"
 
 
-@dataclass(frozen=True)
-class CQProduct:
+class CQProduct(FrozenRecord):
     """Exponent profile for the monomial S_1^a_1..S_{n-1}^a_{n-1} *
     L_1^b_1..L_{n-1}^b_{n-1} on CQ_n."""
 
-    n: int
-    a: tuple
-    b: tuple
+    __slots__ = ("n", "a", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(self.a))
-        object.__setattr__(self, "b", tuple(self.b))
-        if self.n < 2:
+    def __init__(self, n, a, b):
+        a, b = tuple(a), tuple(b)
+        if n < 2:
             raise DomainError("CQ_n needs n >= 2")
-        if len(self.a) != self.n - 1 or len(self.b) != self.n - 1:
-            raise DomainError(f"exponent vectors must have length {self.n - 1}")
-        if any(x < 0 for x in self.a + self.b):
+        if len(a) != n - 1 or len(b) != n - 1:
+            raise DomainError(f"exponent vectors must have length {n - 1}")
+        if any(x < 0 for x in a + b):
             raise DomainError("negative exponent")
+        super().__init__(n, a, b)
 
     def total_degree(self):
         return sum(self.a) + sum(self.b)

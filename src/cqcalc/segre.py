@@ -6,28 +6,23 @@ scope); these evaluators turn them into the bidegrees mu_i / nu_i of a
 gradient-map graph and into ML-degree corrections.
 """
 
-from dataclasses import dataclass
-
-from .exactmath import DomainError, binomial
+from .exactmath import DomainError, FrozenRecord, binomial
 
 
-@dataclass(frozen=True)
-class SegreData:
+class SegreData(FrozenRecord):
     """degF: degree of the polynomial; nL: projective dimension of the
     ambient subspace; mY: dimension of the base-locus scheme; s: degrees of
     the graded Segre components s_0..s_mY."""
 
-    degF: int
-    nL: int
-    mY: int
-    s: tuple
+    __slots__ = ("degF", "nL", "mY", "s")
 
-    def __post_init__(self):
-        object.__setattr__(self, "s", tuple(self.s))
-        if self.degF < 1:
+    def __init__(self, degF, nL, mY, s):
+        s = tuple(s)
+        if degF < 1:
             raise DomainError("degF must be >= 1")
-        if len(self.s) != self.mY + 1:
-            raise DomainError(f"need {self.mY + 1} Segre degrees, got {len(self.s)}")
+        if len(s) != mY + 1:
+            raise DomainError(f"need {mY + 1} Segre degrees, got {len(s)}")
+        super().__init__(degF, nL, mY, s)
 
 
 def _projective_degree(data, i):

@@ -1,8 +1,16 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cqcalc.cli import main
+from cqcalc import cli, matroid
+from cqcalc.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -233,3 +241,138 @@ def test_malformed_values_are_usage_errors(capsys, argv, needle):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and needle in err
+
+
+def test_charpoly_computes_chi_once(capsys, monkeypatch):
+    calls = []
+    real = matroid.characteristic_polynomial
+
+    def counted(m, *args, **kwargs):
+        calls.append(m)
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(matroid, "characteristic_polynomial", counted)
+    code, out, _ = run_cli(capsys, "matroid", "charpoly", "--uniform", "3,6")
+    assert code == 0 and len(calls) == 1
+    assert out.splitlines()[1] == "reduced: 1 5 10"
+
+
+def test_cli_import_leaves_out_dataclasses():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import cqcalc.cli, sys; print('dataclasses' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "False\n"
+
+
+# --- the parser built for argv[0] against the full parser -------------------
+
+def _subcommands(parser, prefix=()):
+    """(path, parser) for every subcommand below `parser`, in usage order."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield prefix + (name,), sub
+                yield from _subcommands(sub, prefix + (name,))
+
+
+SUBCOMMANDS = [path for path, _ in _subcommands(build_parser())]
+LEAVES = [path for path, sub in _subcommands(build_parser())
+          if sub.get_default("handler") is not None]
+
+# One valid argv per leaf subcommand.
+VALID_ARGV = [
+    ("phi", "--n", "4", "--d", "3"),
+    ("phi-poly", "--d", "2", "--jobs", "1", "--format", "json"),
+    ("delta", "--m", "2", "--n", "3", "--r", "2"),
+    ("delta-poly", "--m", "2", "--s", "2", "--timings"),
+    ("phi-c", "--n", "3", "--c", "1", "--d", "2"),
+    ("product", "--n", "3", "--a", "0,0", "--b", "5,0"),
+    ("pataki", "--m", "1", "--n", "3", "--r", "1"),
+    ("flag-integral", "--n", "3", "--b", "1,2"),
+    ("monk", "--i", "1", "--w", "2,1,3"),
+    ("hypersurface-count", "--d", "5", "--n", "2", "--b", "1"),
+    ("matroid", "charpoly", "--uniform", "3,6", "--format", "json"),
+    ("matroid", "reduced", "--matrix", "[[1, 1, 0]]"),
+    ("matroid", "chromatic", "--graph", "c4.txt"),
+    ("matroid", "euler", "--nu", "1,2,1"),
+    ("toric", "fan-check", "--permutohedral", "2"),
+    ("toric", "mu-generic", "--n", "3"),
+    ("toric", "integral", "--fan", "hexagon.txt", "--class", "[]"),
+    ("cells", "--n", "3", "--histogram"),
+    ("cells", "enumerate", "--n", "3"),
+    ("cells", "weight", "--sigma", "2|13"),
+    ("cells", "param", "--sigma", "1|2|3"),
+    ("cells", "verify", "--sigma", "2|13", "--random", "--seed", "4"),
+    ("segre", "mu", "--data", "{}", "--i", "1"),
+    ("segre", "nu", "--data", "@nu.json", "--i", "3"),
+    ("segre", "correct", "--mu", "4", "--n", "5", "--s=-7,2"),
+    ("segre", "compare", "--mu", "1,2", "--nu", "1,2"),
+]
+
+
+def _parse(parser, argv, capsys):
+    try:
+        namespace, code = parser.parse_args(argv), None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, namespace, captured.out, captured.err
+
+
+def test_parser_is_built_for_argv0_only():
+    assert len(SUBCOMMANDS) == 29 and len(LEAVES) == 26
+    for path in SUBCOMMANDS:
+        built = [p for p, _ in _subcommands(build_parser(list(path)))]
+        assert built[0] == path[:1]
+        assert built == [p for p in SUBCOMMANDS if p[0] == path[0]]
+    for argv in ([], ["-h"], ["frobnicate"], ["--format", "json", "phi"]):
+        assert [p for p, _ in _subcommands(build_parser(argv))] == SUBCOMMANDS
+
+
+@pytest.mark.parametrize("path", SUBCOMMANDS, ids=" ".join)
+def test_filtered_help_matches_full_parser(capsys, path):
+    argv = [*path, "--help"]
+    filtered = _parse(build_parser(argv), argv, capsys)
+    assert filtered == _parse(build_parser(), argv, capsys)
+    assert filtered[0] == 0 and filtered[2].startswith(f"usage: cq {' '.join(path)} ")
+
+
+def test_filtered_namespace_matches_full_parser(capsys):
+    commands = set()
+    for argv in VALID_ARGV:
+        code, namespace, out, err = _parse(build_parser(list(argv)), list(argv), capsys)
+        assert code is None and out == err == "", argv
+        assert namespace == build_parser().parse_args(list(argv)), argv
+        commands.add(namespace.command_name)
+    assert commands == {" ".join(path) for path in LEAVES}
+
+
+@pytest.mark.parametrize("argv, code, needle", [
+    ([], 2, "usage: cq [-h]"),
+    (["-h"], 0, None),
+    (["frobnicate"], 2, "cq: error: argument command: invalid choice: 'frobnicate'"),
+    (["matroid"], 2, "cq matroid: error: the following arguments are required: action"),
+    (["matroid", "bogus"], 2, "invalid choice: 'bogus'"),
+    (["phi", "--n", "x", "--d", "1"], 2, "cq phi: error: argument --n: invalid int value"),
+])
+def test_usage_errors_match_full_parser(capsys, monkeypatch, argv, code, needle):
+    def outcome():
+        try:
+            status = main(list(argv))
+        except SystemExit as exc:
+            status = exc.code
+        captured = capsys.readouterr()
+        return status, captured.out, captured.err
+
+    filtered = outcome()
+    full_parser = build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full_parser())
+    assert filtered == outcome()
+    assert filtered[0] == code
+    if needle is None:
+        assert filtered[1].startswith("usage: cq [-h]") and filtered[2] == ""
+    else:
+        assert needle in filtered[2]

@@ -4,7 +4,13 @@ from itertools import combinations
 
 import pytest
 
-from cqcalc.exactmath import DomainError, UnivariatePolynomial, binomial, is_log_concave
+from cqcalc.exactmath import (
+    DomainError,
+    UnivariatePolynomial,
+    binomial,
+    is_log_concave,
+    matrix_rank,
+)
 from cqcalc.matroid import (
     Graph,
     characteristic_polynomial,
@@ -16,6 +22,7 @@ from cqcalc.matroid import (
     matroid_from_subspace,
     parse_graph,
     reduced_characteristic_coefficients,
+    reduced_coefficients,
     uniform_matroid,
 )
 
@@ -97,6 +104,21 @@ def test_subspace_matroid_conventions():
         for k in range(n + 1):
             for subset in combinations(range(n), k):
                 assert m.rank(subset) == u.rank(subset)
+
+
+def test_subspace_rank_oracle_matches_stacked_unit_rows():
+    # r(S) = rank(V with the unit rows of S stacked on) - rank V, on every
+    # subset of seeded matrices (some with dependent or zero rows)
+    rng = random.Random(29)
+    for _ in range(60):
+        n, a = rng.randint(1, 6), rng.randint(1, 4)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(a)]
+        m = matroid_from_subspace(rows)
+        base = matrix_rank(rows)
+        for k in range(n + 1):
+            for subset in combinations(range(n), k):
+                units = [[int(j == i) for j in range(n)] for i in subset]
+                assert m.rank(subset) == matrix_rank(rows + units) - base, (rows, subset)
 
 
 def test_characteristic_polynomial_examples():
@@ -186,6 +208,19 @@ def test_reduced_coefficients_errors():
         reduced_characteristic_coefficients(
             matroid_from_graph(Graph(2, [(1, 1), (1, 2)]))
         )
+
+
+def test_reduced_coefficients_from_chi():
+    for name, g in _graph_corpus().items():
+        m = matroid_from_graph(g)
+        if m.has_loop() or m.full_rank() < 1:
+            continue
+        chi = characteristic_polynomial(m)
+        assert reduced_coefficients(chi) == reduced_characteristic_coefficients(m), name
+    with pytest.raises(DomainError, match="chi_M"):
+        reduced_coefficients(UnivariatePolynomial([0]))
+    with pytest.raises(DomainError, match="chi_M"):
+        reduced_coefficients(UnivariatePolynomial([1, 1]))
 
 
 def test_log_concavity_on_corpus():

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -108,6 +109,37 @@ def test_intersection_product_degree_mismatch():
         intersection_product(CQProduct(3, (0, 0), (4, 0)))
     with pytest.raises(DomainError):
         CQProduct(1, (), ())
+
+
+def test_cq_product_value_semantics():
+    p = CQProduct(3, [0, 0], (4, 0))
+    assert p.a == (0, 0) and isinstance(p.a, tuple) and p.b == (4, 0)
+    assert repr(p) == "CQProduct(n=3, a=(0, 0), b=(4, 0))"
+    assert p == CQProduct(n=3, a=(0, 0), b=(4, 0))
+    assert hash(p) == hash(CQProduct(3, (0, 0), (4, 0)))
+    assert p != CQProduct(3, (0, 0), (3, 1))
+    assert p != (3, (0, 0), (4, 0))
+    assert len({p, CQProduct(3, (0, 0), (4, 0)), CQProduct(3, (1, 0), (3, 0))}) == 2
+    assert pickle.loads(pickle.dumps(p)) == p
+    assert p.total_degree() == 4
+    with pytest.raises(AttributeError):
+        p.n = 4
+    with pytest.raises(AttributeError):
+        del p.a
+    with pytest.raises(AttributeError):
+        p.extra = 1
+    assert p == CQProduct(3, (0, 0), (4, 0))
+
+
+def test_cq_product_validation_errors():
+    with pytest.raises(DomainError, match="CQ_n needs n >= 2"):
+        CQProduct(1, (), ())
+    with pytest.raises(DomainError, match="exponent vectors must have length 2"):
+        CQProduct(3, (0,), (4, 0))
+    with pytest.raises(DomainError, match="negative exponent"):
+        CQProduct(3, (0, -1), (4, 0))
+    with pytest.raises(TypeError):
+        CQProduct(3, (0, 0))
 
 
 def test_cq2_plane():

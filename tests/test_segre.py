@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from cqcalc.exactmath import DomainError
@@ -58,6 +60,32 @@ def test_index_and_data_validation():
         SegreData(degF=3, nL=2, mY=1, s=(1,))
     with pytest.raises(DomainError):
         SegreData(degF=0, nL=2, mY=0, s=(1,))
+
+
+def test_segre_data_value_semantics():
+    data = SegreData(4, 2, 1, [0, 6])
+    assert data.s == (0, 6) and isinstance(data.s, tuple)
+    assert repr(data) == "SegreData(degF=4, nL=2, mY=1, s=(0, 6))"
+    assert data == CREMONA and hash(data) == hash(CREMONA)
+    assert data != HOLLOW_MU
+    assert data != (4, 2, 1, (0, 6))
+    assert pickle.loads(pickle.dumps(data)) == data
+    with pytest.raises(AttributeError):
+        data.degF = 5
+    with pytest.raises(AttributeError):
+        del data.s
+    assert data == CREMONA
+
+
+def test_segre_data_validation_errors():
+    with pytest.raises(DomainError, match="degF must be >= 1"):
+        SegreData(degF=0, nL=2, mY=0, s=(1,))
+    with pytest.raises(DomainError, match="need 2 Segre degrees, got 1"):
+        SegreData(degF=3, nL=2, mY=1, s=(1,))
+    with pytest.raises(TypeError):
+        SegreData(degF="3", nL=2, mY=0, s=(1,))
+    with pytest.raises(TypeError):
+        SegreData(degF=3, nL=2, mY=0)
 
 
 def test_nu_from_mu_correction():
