@@ -9,13 +9,16 @@ entries forced to zero.
 
 Points of CQ_3 are pairs (A, B) of symmetric matrices with A.B scalar;
 `verify_cell_point` reconstructs the pair from cell coordinates and
-checks that relation exactly.
+checks that relation exactly.  One cofactor pair, `_determinant` and
+`_adjugate`, gives both the symbolic companion of Y and the numeric
+adj(X) there; `verify_generic_point` takes its determinant from
+`exactmath.determinant`.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from .exactmath import DomainError, MultivariatePolynomial, binomial
+from .exactmath import DomainError, MultivariatePolynomial, binomial, determinant
 
 _ONE = MultivariatePolynomial.constant(1)
 _ZERO = MultivariatePolynomial()
@@ -241,25 +244,29 @@ def _transpose(a):
     return tuple(tuple(row[c] for row in a) for c in range(len(a)))
 
 
-def _determinant(a):
+def _determinant(a, zero=_ZERO):
+    """Cofactor expansion along the first row.  The entries may be
+    MultivariatePolynomials or Fractions; `zero` is the zero of their ring."""
     size = len(a)
     if size == 1:
         return a[0][0]
-    total = _ZERO
+    total = zero
     for c in range(size):
-        if a[0][c].is_zero():
+        if a[0][c] == zero:
             continue
         minor = tuple(row[:c] + row[c + 1 :] for row in a[1:])
-        term = a[0][c] * _determinant(minor)
+        term = a[0][c] * _determinant(minor, zero)
         total = total + term if c % 2 == 0 else total - term
     return total
 
 
-def _adjugate(a):
+def _adjugate(a, one=_ONE):
+    """Transposed cofactor matrix, over the ring whose unit is `one`."""
     size = len(a)
     if size == 1:
-        return ((_ONE,),)
-    cof = [[_ZERO] * size for _ in range(size)]
+        return ((one,),)
+    zero = one - one
+    cof = [[zero] * size for _ in range(size)]
     for r in range(size):
         for c in range(size):
             minor = tuple(
@@ -267,7 +274,7 @@ def _adjugate(a):
                 for i in range(size)
                 if i != r
             )
-            term = _determinant(minor)
+            term = _determinant(minor, zero)
             cof[r][c] = term if (r + c) % 2 == 0 else -term
     return _transpose(tuple(tuple(row) for row in cof))
 
@@ -328,7 +335,7 @@ def cell_matrices(sigma, values):
     x_num = _numeric(param.X, vals)
     y_num = _numeric(param.Y, vals)
     companion_num = _numeric(param.companion, vals)
-    adj_x = _adjugate_numeric(x_num)
+    adj_x = _adjugate(x_num, Fraction(1))
     a = _mat_mul_numeric(_mat_mul_numeric(x_num, y_num), _transpose(x_num))
     b = _mat_mul_numeric(
         _mat_mul_numeric(_transpose(adj_x), companion_num), adj_x
@@ -342,37 +349,6 @@ def _mat_mul_numeric(a, b):
         tuple(sum(a[r][k] * b[k][c] for k in range(size)) for c in range(size))
         for r in range(size)
     )
-
-
-def _adjugate_numeric(a):
-    size = len(a)
-    if size == 1:
-        return ((Fraction(1),),)
-    cof = [[Fraction(0)] * size for _ in range(size)]
-    for r in range(size):
-        for c in range(size):
-            minor = [
-                [a[i][j] for j in range(size) if j != c]
-                for i in range(size)
-                if i != r
-            ]
-            det = _det_numeric(minor)
-            cof[r][c] = det if (r + c) % 2 == 0 else -det
-    return _transpose(tuple(tuple(row) for row in cof))
-
-
-def _det_numeric(a):
-    size = len(a)
-    if size == 1:
-        return a[0][0]
-    total = Fraction(0)
-    for c in range(size):
-        if a[0][c] == 0:
-            continue
-        minor = [row[:c] + row[c + 1 :] for row in a[1:]]
-        term = a[0][c] * _det_numeric(minor)
-        total += term if c % 2 == 0 else -term
-    return total
 
 
 def verify_cell_point(sigma, values):
@@ -407,4 +383,4 @@ def verify_generic_point(sigma, values):
     x_num = _numeric(param.X, vals)
     y_num = _numeric(param.Y, vals)
     a = _mat_mul_numeric(_mat_mul_numeric(x_num, y_num), _transpose(x_num))
-    return _det_numeric([list(row) for row in a]) != 0
+    return determinant(a) != 0

@@ -119,6 +119,8 @@ def _load_matroid(args):
         r, n = values
         return matroid_mod.uniform_matroid(r, n), {"uniform": [r, n]}
     rows = _read_data_argument(args.matrix)
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise DomainError("matrix must be a JSON list of rows")
     m = matroid_mod.matroid_from_subspace(
         [[_parse_fraction(str(x)) for x in row] for row in rows]
     )
@@ -243,6 +245,10 @@ def _cmd_toric_mu_generic(args):
 
 def _cmd_toric_integral(args):
     fan = _load_fan(args)
+    if args.permutohedral is None:
+        # The degree map below holds only on a smooth complete fan.
+        fan.check_smooth()
+        fan.check_complete()
     spec = _read_data_argument(args.cls)
     if not isinstance(spec, list) or not all(
         isinstance(item, dict) and isinstance(item.get("rays"), list)
@@ -251,7 +257,10 @@ def _cmd_toric_integral(args):
         raise DomainError('class must be a JSON list of {"rays": [...], "coeff": ...}')
     terms = {}
     for item in spec:
-        rays = frozenset(int(i) - 1 for i in item["rays"])
+        try:
+            rays = frozenset(int(i) - 1 for i in item["rays"])
+        except (TypeError, ValueError):
+            raise DomainError(f"ray indices must be integers, got {item['rays']!r}")
         coeff = _parse_fraction(str(item.get("coeff", 1)))
         terms[rays] = terms.get(rays, Fraction(0)) + coeff
     degree = len(next(iter(terms), frozenset()))

@@ -1,10 +1,16 @@
-"""Exact arithmetic: rationals, polynomials, interpolation, small combinatorics.
+"""Exact arithmetic: rationals, polynomials, interpolation, linear algebra,
+small combinatorics.
 
 Everything here is exact; no floating point is used anywhere.  Scalars are
 `fractions.Fraction` (arbitrary precision, always in lowest terms with a
 positive denominator), exposed under the name `ExactRational`.  All values
 are immutable after construction and every operation is a pure function, so
 the module is safe to use from any number of threads.
+
+Linear algebra has one elimination kernel, `_echelon`: fraction-free
+(Bareiss) row reduction on integer rows.  `matrix_rank`, `determinant` and
+`solve_linear_system` all derive from it; rows with rational entries are
+first scaled to integers, and all-`int` rows are used as they are.
 """
 
 import math
@@ -403,39 +409,93 @@ def _merge_keys(k1, k2):
     return tuple(sorted(expo.items()))
 
 
-def solve_linear_system(matrix, rhs):
-    """Solve M x = rhs exactly (square, nonsingular M) by Gaussian elimination."""
-    n = len(matrix)
-    aug = [[_frac(matrix[i][j]) for j in range(n)] + [_frac(rhs[i])] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+def _integer_rows(rows):
+    """A new list of integer rows and the product of the factors used.
+
+    A row that is all `int` is kept as it is; any other row is multiplied
+    by the lcm of its entries' denominators.  This keeps the row space (so
+    rank and the solution of a system), and multiplies the determinant by
+    the returned product."""
+    out, scale = [], 1
+    for row in rows:
+        if all(map(int.__instancecheck__, row)):
+            out.append(row)
+            continue
+        row = [_frac(x) for x in row]
+        factor = math.lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (factor // x.denominator) for x in row])
+        scale *= factor
+    return out, scale
+
+
+def _echelon(rows, ncols):
+    """Fraction-free (Bareiss) row echelon form of a list of integer rows.
+
+    A column with no nonzero entry left below the pivot rows is skipped.
+    The list is reordered and its rows replaced (no row is changed in
+    place).  Returns the pivot columns and the sign of the row swaps: row k
+    is then zero before its pivot at column pivots[k].  Every division is
+    exact, since each entry is a minor of the input (Bareiss, Math. Comp.
+    22, 1968); for a square matrix of full rank the last pivot times the
+    sign is the determinant."""
+    pivots, sign, previous = [], 1, 1
+    nrows = len(rows)
+    for col in range(ncols):
+        k = len(pivots)
+        pivot = next((r for r in range(k, nrows) if rows[r][col]), None)
         if pivot is None:
-            raise DomainError("singular system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [c * inv for c in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+            continue
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        top = rows[k]
+        lead = top[col]
+        for r in range(k + 1, nrows):
+            row = rows[r]
+            below = row[col]
+            rows[r] = [0] * (col + 1) + [
+                (row[j] * lead - below * top[j]) // previous
+                for j in range(col + 1, ncols)
+            ]
+        previous = lead
+        pivots.append(col)
+    return pivots, sign
+
+
+def determinant(matrix):
+    """Determinant of a square matrix of ints or rationals; an `int` when
+    every entry is one."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    work, scale = _integer_rows(matrix)
+    pivots, sign = _echelon(work, n)
+    if len(pivots) < n:
+        return 0
+    det = sign * work[-1][-1]
+    return det if scale == 1 else Fraction(det, scale)
 
 
 def matrix_rank(rows):
-    """Rank over the rationals, by exact row reduction."""
-    work = [[_frac(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [c * inv for c in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
-        rank += 1
-    return rank
+    """Rank over the rationals: the number of pivots in row echelon form."""
+    work, _ = _integer_rows(rows)
+    return len(_echelon(work, len(work[0]) if work else 0)[0])
+
+
+def solve_linear_system(matrix, rhs):
+    """Solve M x = rhs exactly (square, nonsingular M), as a list of Fractions.
+
+    Eliminates [M | rhs] and substitutes back without fractions: with d the
+    last pivot (plus or minus det M), every d * x_i is an integer."""
+    n = len(matrix)
+    work, _ = _integer_rows([[*row[:n], b] for row, b in zip(matrix, rhs)])
+    pivots, _ = _echelon(work, n + 1)
+    if pivots != list(range(n)):
+        raise DomainError("singular system")
+    d = work[n - 1][n - 1] if n else 1
+    scaled = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = work[i]
+        acc = d * row[n] - sum(row[j] * scaled[j] for j in range(i + 1, n))
+        scaled[i] = acc // row[i]
+    return [Fraction(y, d) for y in scaled]

@@ -25,7 +25,11 @@ class SegreData(FrozenRecord):
         super().__init__(degF, nL, mY, s)
 
 
-def _projective_degree(data, i):
+def mu_from_segre(data, i):
+    """Bidegree mu_i from the Segre degrees of the restricted base locus:
+    (degF-1)^i minus binomially weighted corrections.  Fed the Segre degrees
+    of the gradient of the restriction instead, the same formula gives nu_i,
+    hence the alias `nu_from_segre`."""
     if not 0 <= i <= data.nL:
         raise DomainError(f"index {i} out of range 0..{data.nL}")
     e = data.degF - 1
@@ -37,16 +41,7 @@ def _projective_degree(data, i):
     return total
 
 
-def mu_from_segre(data, i):
-    """Bidegree mu_i from the Segre degrees of the restricted base locus:
-    (degF-1)^i minus binomially weighted corrections."""
-    return _projective_degree(data, i)
-
-
-def nu_from_segre(data, i):
-    """Same formula, fed the Segre degrees of the gradient of the
-    restriction instead."""
-    return _projective_degree(data, i)
+nu_from_segre = mu_from_segre
 
 
 def nu_from_mu_correction(mu_a, n_ambient, b, s):

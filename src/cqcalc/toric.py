@@ -16,8 +16,10 @@ Which route answers:
 * dual functionals: one `solve_linear_system` per (maximal cone, ray),
   cached with its row, the nonzero coefficients -<m, u_sigma> over the
   rays outside the cone, which is all a product needs;
-* smoothness: cone determinants by fraction-free (Bareiss) integer
-  elimination.
+* smoothness: one `determinant` per maximal cone.
+
+Both solve and determinant are `exactmath`'s single fraction-free
+(Bareiss) integer elimination.
 
 The permutohedral fan has one ray per proper nonempty subset S of
 {1..n+1} (the image of the indicator vector of S in the quotient lattice)
@@ -27,7 +29,7 @@ and one maximal cone per maximal chain of subsets.
 from fractions import Fraction
 from itertools import combinations
 
-from .exactmath import DomainError, solve_linear_system
+from .exactmath import DomainError, determinant, solve_linear_system
 
 
 class Fan:
@@ -83,8 +85,7 @@ class Fan:
     def check_smooth(self):
         """Every maximal cone's rays must form a basis of the lattice."""
         for cone in self.maximal_cones:
-            mat = [list(self.rays[i]) for i in sorted(cone)]
-            if abs(_det(mat)) != 1:
+            if abs(determinant([self.rays[i] for i in sorted(cone)])) != 1:
                 raise DomainError("fan not smooth")
         return True
 
@@ -133,31 +134,6 @@ class Fan:
                     row.append((sigma, c))
         cached = self._dual_cache[key] = (m, tuple(row))
         return cached
-
-
-def _det(matrix):
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination: every division is exact, so the entries stay integers."""
-    work = [list(row) for row in matrix]
-    n = len(work)
-    sign, previous = 1, 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            sign = -sign
-        top = work[col]
-        for r in range(col + 1, n):
-            row = work[r]
-            lead = row[col]
-            work[r] = [0] * (col + 1) + [
-                (row[j] * top[col] - lead * top[j]) // previous
-                for j in range(col + 1, n)
-            ]
-        previous = top[col]
-    return sign * previous
 
 
 class ToricClass:
@@ -315,18 +291,25 @@ def parse_fan(text):
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise DomainError("empty fan file")
-    header = lines[0].split()
+    header = _integers(lines[0])
     if len(header) != 3:
         raise DomainError("fan header must be 'rank #rays #cones'")
-    rank, nrays, ncones = map(int, header)
+    rank, nrays, ncones = header
     if len(lines) != 1 + nrays + ncones:
         raise DomainError("fan file line count mismatch")
-    rays = [tuple(map(int, lines[1 + i].split())) for i in range(nrays)]
+    rays = [tuple(_integers(lines[1 + i])) for i in range(nrays)]
     cones = []
     for i in range(ncones):
-        indices = [int(t) - 1 for t in lines[1 + nrays + i].split()]
+        indices = [t - 1 for t in _integers(lines[1 + nrays + i])]
         cones.append(frozenset(indices))
     return Fan(rank, rays, cones)
+
+
+def _integers(line):
+    try:
+        return [int(t) for t in line.split()]
+    except ValueError:
+        raise DomainError(f"fan file line {line.strip()!r} is not all integers")
 
 
 def format_fan(fan):

@@ -165,6 +165,50 @@ def test_toric_ray_index_outside_fan(capsys, rays):
     assert err == "error: term does not span a cone\n"
 
 
+def _assert_domain_error(capsys, argv, needle):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
+
+@pytest.mark.parametrize("matrix", ["[1,2]", "7"])
+def test_matroid_matrix_must_be_rows(capsys, matrix):
+    _assert_domain_error(capsys, ("matroid", "charpoly", "--matrix", matrix),
+                         "matrix must be a JSON list of rows")
+
+
+def test_toric_class_ray_indices_must_be_integers(capsys):
+    cls = json.dumps([{"rays": ["a"]}])
+    _assert_domain_error(capsys, ("toric", "integral", "--permutohedral", "2",
+                                  "--class", cls), "ray indices must be integers")
+
+
+@pytest.mark.parametrize("text", [
+    "a b c\n",
+    "2 2 1\n1 0\na b\n1 2\n",
+    "2 2 1\n1 0\n0 1\n1 x\n",
+])
+def test_fan_file_tokens_must_be_integers(tmp_path, capsys, text):
+    fan_file = tmp_path / "fan.txt"
+    fan_file.write_text(text)
+    _assert_domain_error(capsys, ("toric", "fan-check", "--fan", str(fan_file)),
+                         "is not all integers")
+
+
+@pytest.mark.parametrize("text, needle", [
+    # rays (1,0), (0,1), (-1,-1) with two of the three cones
+    ("2 3 2\n1 0\n0 1\n-1 -1\n1 2\n2 3\n", "fan not complete"),
+    # (2,0), (0,1) span a cone of index 2; there D1.D2 = 1/2
+    ("2 4 4\n2 0\n0 1\n-1 0\n0 -1\n1 2\n2 3\n3 4\n4 1\n", "fan not smooth"),
+])
+def test_toric_integral_checks_fan_file(tmp_path, capsys, text, needle):
+    fan_file = tmp_path / "fan.txt"
+    fan_file.write_text(text)
+    cls = json.dumps([{"rays": [1, 2], "coeff": 1}])
+    _assert_domain_error(capsys, ("toric", "integral", "--fan", str(fan_file),
+                                  "--class", cls), needle)
+
+
 def test_segre_commands(tmp_path, capsys):
     data = '{"degF":4,"nL":2,"mY":1,"s":[0,6]}'
     code, out, _ = run_cli(capsys, "segre", "mu", "--data", data, "--i", "2",

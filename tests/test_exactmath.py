@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,7 @@ from cqcalc.exactmath import (
     MultivariatePolynomial,
     UnivariatePolynomial,
     binomial,
+    determinant,
     interpolate,
     is_log_concave,
     matrix_rank,
@@ -142,3 +144,74 @@ def test_matrix_rank():
     assert matrix_rank([[1, 0, 0], [0, 1, 0]]) == 2
     assert matrix_rank([[1, 2], [2, 4]]) == 1
     assert matrix_rank([[0, 0], [0, 0]]) == 0
+
+
+def _det_by_fractions(matrix):
+    """Determinant by Gaussian elimination over the rationals."""
+    n = len(matrix)
+    work = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        det *= work[col][col]
+        for r in range(col + 1, n):
+            factor = work[r][col] / work[col][col]
+            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+    return det
+
+
+def _seeded_matrices(rng, nrows, ncols):
+    """An int matrix with small entries, the same with a zero column and a
+    dependent last row (column skipping, lower rank), and a rational one."""
+    m = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+    deficient = [row[:] for row in m]
+    zero_col = rng.randrange(ncols)
+    for row in deficient:
+        row[zero_col] = 0
+    if nrows > 1:
+        k = rng.randint(-2, 2)
+        deficient[-1] = [k * a - b for a, b in zip(deficient[0], deficient[1])]
+    rational = [[Fraction(a, rng.randint(1, 5)) for a in row] for row in deficient]
+    return [m, deficient, rational]
+
+
+def test_matrix_rank_is_largest_nonzero_minor():
+    rng = random.Random(53)
+    ranks = set()
+    for nrows in range(1, 5):
+        for ncols in range(1, 6):
+            for _ in range(8):
+                for m in _seeded_matrices(rng, nrows, ncols):
+                    expected = max(
+                        (k for k in range(1, min(nrows, ncols) + 1)
+                         for rows in combinations(m, k)
+                         for cols in combinations(range(ncols), k)
+                         if _det_by_fractions([[row[c] for c in cols] for row in rows])),
+                        default=0,
+                    )
+                    assert matrix_rank(m) == expected, m
+                    ranks.add(expected)
+    assert ranks == {0, 1, 2, 3, 4}
+
+
+def test_solve_linear_system_by_substitution():
+    rng = random.Random(59)
+    singular_count = 0
+    for n in range(1, 6):
+        for _ in range(20):
+            for m in _seeded_matrices(rng, n, n):
+                rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+                if _det_by_fractions(m) == 0:
+                    singular_count += 1
+                    with pytest.raises(DomainError, match="singular system"):
+                        solve_linear_system(m, rhs)
+                    continue
+                x = solve_linear_system(m, rhs)
+                assert all(isinstance(v, Fraction) for v in x)
+                assert [sum(a * v for a, v in zip(row, x)) for row in m] == rhs, m
+    assert singular_count >= 100

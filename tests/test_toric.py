@@ -4,12 +4,11 @@ from itertools import combinations
 
 import pytest
 
-from cqcalc.exactmath import DomainError, is_log_concave, solve_linear_system
+from cqcalc.exactmath import DomainError, determinant, is_log_concave, solve_linear_system
 from cqcalc.matroid import reduced_characteristic_coefficients, uniform_matroid
 from cqcalc.toric import (
     Fan,
     ToricClass,
-    _det,
     format_fan,
     multiply_by_divisor,
     mu_generic,
@@ -18,6 +17,7 @@ from cqcalc.toric import (
     permutohedral_fan,
     toric_integral,
 )
+from test_exactmath import _det_by_fractions
 
 
 def _hexagon():
@@ -226,25 +226,6 @@ def test_dual_rows_match_linear_solve():
                 assert fan.dual_functional(face, ray) == fan.dual_functional(parent, ray)
 
 
-def _det_by_fractions(matrix):
-    """Determinant by Gaussian elimination over the rationals."""
-    n = len(matrix)
-    work = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det *= work[col][col]
-        for r in range(col + 1, n):
-            factor = work[r][col] / work[col][col]
-            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return det
-
-
 def test_bareiss_det_matches_fraction_elimination():
     rng = random.Random(41)
     matrices = [[], [[0]], [[0, 1], [1, 0]], [[0, 0], [1, 2]]]
@@ -265,7 +246,11 @@ def test_bareiss_det_matches_fraction_elimination():
     singular_count = 0
     for m in matrices:
         expected = _det_by_fractions(m)
-        got = _det(m)
+        got = determinant(m)
         assert isinstance(got, int) and got == expected, m
         singular_count += expected == 0
     assert singular_count >= 200
+    # rational entries: each row is scaled to integers and the scales undone
+    for m in matrices[4::5]:
+        rational = [[Fraction(a, rng.randint(1, 6)) for a in row] for row in m]
+        assert determinant(rational) == _det_by_fractions(rational), rational
