@@ -16,6 +16,7 @@ adj(X) there; `verify_generic_point` takes its determinant from
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .exactmath import DomainError, MultivariatePolynomial, binomial, determinant
@@ -236,7 +237,10 @@ class CellParametrization:
         return self.free_x + self.free_y
 
 
+@lru_cache(maxsize=1024)
 def cell_parametrization(sigma):
+    """The cell's `CellParametrization`, built once per 2-permutation and
+    shared by every caller."""
     return CellParametrization(sigma)
 
 

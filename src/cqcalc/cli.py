@@ -141,7 +141,7 @@ def _cmd_phi(args):
 
 
 def _cmd_phi_poly(args):
-    poly = quadrics.phi_polynomial(args.d, jobs=args.jobs)
+    poly = quadrics.phi_polynomial(args.d)
     return poly, {"d": args.d, "jobs": args.jobs}
 
 
@@ -154,7 +154,7 @@ def _cmd_delta(args):
 
 
 def _cmd_delta_poly(args):
-    poly = quadrics.delta_polynomial(args.m, args.s, jobs=args.jobs)
+    poly = quadrics.delta_polynomial(args.m, args.s)
     return poly, {"m": args.m, "s": args.s, "jobs": args.jobs}
 
 
@@ -243,6 +243,14 @@ def _cmd_toric_mu_generic(args):
     return toric_mod.mu_generic(args.n), {"n": args.n}
 
 
+def _ray_index(i):
+    """0-based index of a 1-based JSON ray index; a bool or a number with a
+    fractional part is not an index."""
+    if isinstance(i, bool) or isinstance(i, float) and not i.is_integer():
+        raise ValueError(f"not a ray index: {i!r}")
+    return int(i) - 1
+
+
 def _cmd_toric_integral(args):
     fan = _load_fan(args)
     if args.permutohedral is None:
@@ -258,7 +266,7 @@ def _cmd_toric_integral(args):
     terms = {}
     for item in spec:
         try:
-            rays = frozenset(int(i) - 1 for i in item["rays"])
+            rays = frozenset(_ray_index(i) for i in item["rays"])
         except (TypeError, ValueError):
             raise DomainError(f"ray indices must be integers, got {item['rays']!r}")
         coeff = _parse_fraction(str(item.get("coeff", 1)))
@@ -480,7 +488,7 @@ _COMMANDS = {
     )),
     "phi-poly": _leaf(_cmd_phi_poly, lambda s: (
         s.add_argument("--d", type=int, required=True),
-        s.add_argument("--jobs", type=int, default=1),
+        s.add_argument("--jobs", type=int, default=1, help="accepted and ignored"),
     )),
     "delta": _leaf(_cmd_delta, lambda s: (
         s.add_argument("--m", type=int, required=True),
@@ -490,7 +498,7 @@ _COMMANDS = {
     "delta-poly": _leaf(_cmd_delta_poly, lambda s: (
         s.add_argument("--m", type=int, required=True),
         s.add_argument("--s", type=int, required=True),
-        s.add_argument("--jobs", type=int, default=1),
+        s.add_argument("--jobs", type=int, default=1, help="accepted and ignored"),
     )),
     "phi-c": _leaf(_cmd_phi_c, lambda s: (
         s.add_argument("--n", type=int, required=True),

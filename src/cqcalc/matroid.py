@@ -20,7 +20,13 @@ against each other in the test suite on every matroid of the corpus:
 from fractions import Fraction
 from itertools import combinations
 
-from .exactmath import DomainError, UnivariatePolynomial, binomial, matrix_rank
+from .exactmath import (
+    DomainError,
+    UnivariatePolynomial,
+    _integer_rows,
+    binomial,
+    matrix_rank,
+)
 
 
 class Graph:
@@ -130,13 +136,16 @@ def matroid_from_subspace(rows):
     ncols = len(rows[0])
     if any(len(r) != ncols for r in rows):
         raise DomainError("rows of unequal length")
-    base_rank = matrix_rank(rows)
+    # Each row scaled to integers once; the row space, and so every rank,
+    # is unchanged.
+    int_rows, _ = _integer_rows(rows)
+    base_rank = matrix_rank(int_rows)
 
     def rank(subset):
         # The unit vectors of S together with V span |S| dimensions plus
         # those of V restricted to the columns outside S.
         kept = [j for j in range(ncols) if j not in subset]
-        restricted = [[row[j] for j in kept] for row in rows]
+        restricted = [[row[j] for j in kept] for row in int_rows]
         return len(subset) + matrix_rank(restricted) - base_rank
 
     return Matroid(ncols, rank, ("linear", tuple(rows)))

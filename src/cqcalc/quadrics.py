@@ -26,6 +26,13 @@ the independent check on the closed form.
 For n = 2 the space is the plane of binary quadrics and the same relations
 hold with S_1 = 2 L_1, so no special casing is needed.
 
+`phi` and `delta` do not run the reduction.  `delta` is the
+Nie-Ranestad-Sturmfels formula, delta(m, n, r) = sum of psi_I psi_{[n]-I}
+over the I in [n] with |I| = n - r and sum(I) = m, where psi_I are
+Lascoux coefficients (Pfaffians of the pair values); `phi` follows from
+`delta` by the phi-delta identity.  On the monomials they name, `_reduce`
+is the independent test oracle for both.
+
 Everything here is pure and deterministic; the memo tables are the only
 shared state and individual dict operations are atomic, so concurrent
 callers always read complete entries.
@@ -189,6 +196,7 @@ def clear_caches():
 
     _product_memo.clear()
     _mixed_basis_expansion.cache_clear()
+    _psi.cache_clear()
     schubert._integral_memo.clear()
     schubert._cover_cache.clear()
 
@@ -266,62 +274,54 @@ def integrate_monomial(n, a, b, pick=None):
     return intersection_product(CQProduct(n, tuple(a), tuple(b)), pick=pick)
 
 
-def _corner_exponents(n, first, last):
-    b = [0] * (n - 1)
-    b[0] += first
-    b[n - 2] += last
-    return tuple(b)
+@lru_cache(maxsize=None)
+def _psi(index):
+    """Lascoux coefficient psi_I of an increasing tuple I of positive
+    integers, with psi_() = 1.
+
+    For i < j, psi_(i,j) = sum of C(i+j-2, k-1) over k = i..j-1.  A longer
+    I gives the Pfaffian of [psi_(i,j)], expanded along its first row; an
+    I of odd length gets 0 in front, with psi_(0,j) = psi_(j) = 2^(j-1).
+    """
+    if len(index) % 2:
+        index = (0,) + index
+    if not index:
+        return 1
+    i, rest = index[0], index[1:]
+    total = 0
+    for k, j in enumerate(rest):
+        pair = sum(binomial(i + j - 2, t - 1) for t in range(i, j)) if i else 2 ** (j - 1)
+        total += (-1) ** k * pair * _psi(rest[:k] + rest[k + 1 :])
+    return total
+
+
+def _subsets(low, high, size, total):
+    """Increasing tuples of `size` integers in low..high that sum to `total`."""
+    if size == 0:
+        if total == 0:
+            yield ()
+        return
+    for i in range(low, high + 1):
+        if i * size + size * (size - 1) // 2 > total:
+            break
+        for rest in _subsets(i + 1, high, size - 1, total - i):
+            yield (i,) + rest
 
 
 def phi(n, d):
     """ML-degree of a generic d-dimensional linear concentration model on
     symmetric n x n matrices: the integral of L_1^(C(n+1,2)-d) L_{n-1}^(d-1).
+
+    Computed as (1/n) * sum of s * delta(d, n, n-s) over the s with
+    C(s+1,2) <= d.  That identity expands one L_1 factor into degeneration
+    classes, so it needs at least one L_1 in the integrand; the single
+    boundary column d = C(n+1,2) has none and is evaluated through the
+    duality phi(n, C(n+1,2)) = phi(n, 1) instead.  `_reduce` on the
+    monomial above is the test oracle.
     """
     top = binomial(n + 1, 2)
     if n < 2:
         raise DomainError("phi needs n >= 2")
-    if not 1 <= d <= top:
-        raise DomainError(f"d={d} out of range 1..{top}")
-    b = _corner_exponents(n, top - d, d - 1)
-    return integrate_monomial(n, (0,) * (n - 1), b)
-
-
-def delta(m, n, r):
-    """Algebraic degree of semidefinite programming: the integral of
-    S_r L_1^(C(n+1,2)-m-1) L_{n-1}^(m-1)."""
-    top = binomial(n + 1, 2)
-    if n < 2:
-        raise DomainError("delta needs n >= 2")
-    if not 0 < m < top:
-        raise DomainError(f"m={m} out of range 1..{top - 1}")
-    if not 0 < r < n:
-        raise DomainError(f"r={r} out of range 1..{n - 1}")
-    a = tuple(1 if j == r else 0 for j in range(1, n))
-    b = _corner_exponents(n, top - m - 1, m - 1)
-    return integrate_monomial(n, a, b)
-
-
-def pataki_nonzero(m, n, r):
-    """Support window for delta: nonzero exactly when
-    C(n-r+1,2) <= m <= C(n+1,2) - C(r+1,2)."""
-    top = binomial(n + 1, 2)
-    if n < 2 or not 0 < m < top or not 0 < r < n:
-        raise DomainError("parameter out of range")
-    return binomial(n - r + 1, 2) <= m <= top - binomial(r + 1, 2)
-
-
-def phi_from_delta(n, d):
-    """Recover phi(n, d) as (1/n) * sum of s * delta(d, n, n-s) over the s
-    with C(s+1,2) <= d.
-
-    The identity expands one L_1 factor into degeneration classes, so it
-    needs at least one L_1 in the integrand; the single boundary column
-    d = C(n+1,2) has none and is evaluated through the duality
-    phi(n, C(n+1,2)) = phi(n, 1) instead.
-    """
-    top = binomial(n + 1, 2)
-    if n < 2:
-        raise DomainError("phi_from_delta needs n >= 2")
     if not 1 <= d <= top:
         raise DomainError(f"d={d} out of range 1..{top}")
     if d == top:
@@ -336,6 +336,40 @@ def phi_from_delta(n, d):
     return total // n
 
 
+phi_from_delta = phi
+
+
+def delta(m, n, r):
+    """Algebraic degree of semidefinite programming: the integral of
+    S_r L_1^(C(n+1,2)-m-1) L_{n-1}^(m-1).
+
+    Computed by the Nie-Ranestad-Sturmfels formula: the sum of
+    psi_I psi_{[n]-I} over the I in [n] with |I| = n - r and sum(I) = m.
+    `_reduce` on the monomial above is the test oracle.
+    """
+    top = binomial(n + 1, 2)
+    if n < 2:
+        raise DomainError("delta needs n >= 2")
+    if not 0 < m < top:
+        raise DomainError(f"m={m} out of range 1..{top - 1}")
+    if not 0 < r < n:
+        raise DomainError(f"r={r} out of range 1..{n - 1}")
+    total = 0
+    for index in _subsets(1, n, n - r, m):
+        rest = tuple(j for j in range(1, n + 1) if j not in index)
+        total += _psi(index) * _psi(rest)
+    return total
+
+
+def pataki_nonzero(m, n, r):
+    """Support window for delta: nonzero exactly when
+    C(n-r+1,2) <= m <= C(n+1,2) - C(r+1,2)."""
+    top = binomial(n + 1, 2)
+    if n < 2 or not 0 < m < top or not 0 < r < n:
+        raise DomainError("parameter out of range")
+    return binomial(n - r + 1, 2) <= m <= top - binomial(r + 1, 2)
+
+
 def phi_c(n, c, d):
     """Integral of L_c L_1^(C(n+1,2)-d-1) L_{n-1}^(d-1); equals c * phi(n, d)
     whenever C(n-c+2,2) > d."""
@@ -344,35 +378,18 @@ def phi_c(n, c, d):
         raise DomainError("c out of range")
     if not 1 <= d < top:
         raise DomainError(f"d={d} out of range 1..{top - 1}")
-    b = list(_corner_exponents(n, top - d - 1, d - 1))
+    b = [0] * (n - 1)
+    b[0] += top - d - 1
+    b[n - 2] += d - 1
     b[c - 1] += 1
     return integrate_monomial(n, (0,) * (n - 1), tuple(b))
 
 
-def _phi_sample(args):
-    n, d = args
-    return phi(n, d)
-
-
-def _delta_sample(args):
-    m, n, s = args
-    return delta(m, n, n - s)
-
-
-def _evaluate_samples(worker, arg_list, jobs):
-    if jobs and jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, arg_list))
-    return [worker(args) for args in arg_list]
-
-
-def phi_polynomial(d, jobs=1):
+def phi_polynomial(d):
     """The function n -> phi(n, d) as an exact polynomial of degree d - 1.
 
     Samples d consecutive admissible n starting from the smallest one,
-    interpolates, and double-checks the result against one further engine
+    interpolates, and double-checks the result against one further
     evaluation before returning it.
     """
     if d < 1:
@@ -382,14 +399,14 @@ def phi_polynomial(d, jobs=1):
         n0 += 1
     sample_ns = list(range(n0, n0 + d))
     check_n = n0 + d
-    values = _evaluate_samples(_phi_sample, [(n, d) for n in sample_ns + [check_n]], jobs)
+    values = [phi(n, d) for n in sample_ns + [check_n]]
     poly = interpolate(list(zip(sample_ns, values[:-1])))
     if poly(check_n) != values[-1]:
         raise DomainError("polynomiality check failed")
     return poly
 
 
-def delta_polynomial(m, s, jobs=1):
+def delta_polynomial(m, s):
     """The function n -> delta(m, n, n-s) as an exact polynomial of degree
     at most m, checked to vanish at n = 0 and at one extra sample point."""
     if m < 1 or s < 1:
@@ -399,9 +416,7 @@ def delta_polynomial(m, s, jobs=1):
         n0 += 1
     sample_ns = list(range(n0, n0 + m + 1))
     check_n = n0 + m + 1
-    values = _evaluate_samples(
-        _delta_sample, [(m, n, s) for n in sample_ns + [check_n]], jobs
-    )
+    values = [delta(m, n, n - s) for n in sample_ns + [check_n]]
     poly = interpolate(list(zip(sample_ns, values[:-1])))
     if poly(check_n) != values[-1]:
         raise DomainError("polynomiality check failed")

@@ -109,6 +109,11 @@ def test_parametrization_identity_cell():
     assert param.companion[2][2] == 1
 
 
+def test_parametrization_is_built_once_per_sigma():
+    first = cell_parametrization(TwoPermutation.parse("2|13"))
+    assert cell_parametrization(TwoPermutation([(2,), (3, 1)])) is first
+
+
 def test_parametrization_2_13():
     param = cell_parametrization(TwoPermutation.parse("2|13"))
     assert param.forced_x == ((1, 2),)

@@ -183,6 +183,14 @@ def test_toric_class_ray_indices_must_be_integers(capsys):
                                   "--class", cls), "ray indices must be integers")
 
 
+@pytest.mark.parametrize("rays", [[1.7, 4.2], [True, 4]])
+def test_toric_class_ray_indices_are_not_truncated(capsys, rays):
+    # int() would read these as rays 1 and 4, which span a cone
+    cls = json.dumps([{"rays": rays}])
+    _assert_domain_error(capsys, ("toric", "integral", "--permutohedral", "2",
+                                  "--class", cls), "ray indices must be integers")
+
+
 @pytest.mark.parametrize("text", [
     "a b c\n",
     "2 2 1\n1 0\na b\n1 2\n",

@@ -121,6 +121,24 @@ def test_subspace_rank_oracle_matches_stacked_unit_rows():
                 assert m.rank(subset) == matrix_rank(rows + units) - base, (rows, subset)
 
 
+def test_subspace_rational_rows_match_integer_rows():
+    # scaling each row by a nonzero rational keeps the row space, so every
+    # rank; the tag keeps the rows as given
+    rng = random.Random(31)
+    for _ in range(20):
+        n, a = rng.randint(1, 5), rng.randint(1, 3)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(a)]
+        scaled = []
+        for row in rows:
+            factor = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+            scaled.append([factor * x for x in row])
+        m, mq = matroid_from_subspace(rows), matroid_from_subspace(scaled)
+        assert mq.tag == ("linear", tuple(tuple(row) for row in scaled))
+        for k in range(n + 1):
+            for subset in combinations(range(n), k):
+                assert mq.rank(subset) == m.rank(subset), (scaled, subset)
+
+
 def test_characteristic_polynomial_examples():
     assert characteristic_polynomial(uniform_matroid(3, 3)) == UnivariatePolynomial(
         [-1, 3, -3, 1]

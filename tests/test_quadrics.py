@@ -5,9 +5,11 @@ from itertools import combinations, product
 
 import pytest
 
+from cqcalc import quadrics
 from cqcalc.exactmath import DomainError, UnivariatePolynomial, binomial
 from cqcalc.quadrics import (
     _mixed_basis_expansion,
+    _psi,
     CQProduct,
     DivisorClass,
     cq_dimension,
@@ -323,6 +325,84 @@ def test_phi_from_delta():
     for n in (2, 3, 4):
         for d in range(1, binomial(n + 1, 2) + 1):
             assert phi_from_delta(n, d) == phi(n, d)
+
+
+def _corner(n, first, last):
+    b = [0] * (n - 1)
+    b[0] += first
+    b[-1] += last
+    return tuple(b)
+
+
+def test_delta_closed_form_matches_reduction():
+    # the Nie-Ranestad-Sturmfels sum against the reduction of
+    # S_r L_1^(top-m-1) L_{n-1}^(m-1), on every admissible triple with n <= 6
+    checked = 0
+    for n in range(2, 7):
+        top = binomial(n + 1, 2)
+        for m in range(1, top):
+            for r in range(1, n):
+                a = tuple(int(j == r) for j in range(1, n))
+                expected = integrate_monomial(n, a, _corner(n, top - m - 1, m - 1))
+                assert delta(m, n, r) == expected, (m, n, r)
+                checked += 1
+    assert checked == 195
+
+
+def test_phi_closed_form_matches_reduction():
+    for n in range(2, 7):
+        top = binomial(n + 1, 2)
+        for d in range(1, top + 1):
+            expected = integrate_monomial(n, (0,) * (n - 1), _corner(n, top - d, d - 1))
+            assert phi(n, d) == expected, (n, d)
+
+
+def test_psi_small_values():
+    # psi_(i) = 2^(i-1); psi_(i,j) = sum_{k=i}^{j-1} C(i+j-2, k-1);
+    # longer I by the Pfaffian of the pair values, with 0 in front when |I|
+    # is odd and psi_(0,j) = psi_(j)
+    assert _psi(()) == 1
+    assert [_psi((i,)) for i in (1, 2, 3, 4)] == [1, 2, 4, 8]
+    assert _psi((1, 2)) == 1
+    assert _psi((1, 3)) == 3
+    assert _psi((2, 3)) == 3
+    assert _psi((1, 4)) == 7
+    assert _psi((2, 4)) == 10
+    assert _psi((3, 4)) == 10
+    # 1*3 - 2*3 + 4*1
+    assert _psi((1, 2, 3)) == 1
+    # psi_12 psi_34 - psi_13 psi_24 + psi_14 psi_23 = 10 - 30 + 21
+    assert _psi((1, 2, 3, 4)) == 1
+    # 2*10 - 4*10 + 8*3
+    assert _psi((2, 3, 4)) == 4
+
+
+def test_closed_forms_do_not_reduce(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_reduce called")
+
+    monkeypatch.setattr(quadrics, "_reduce", refuse)
+    assert phi(7, 3) == 36
+    assert phi_from_delta(5, 15) == 1
+    assert delta(4, 5, 3) == delta(11, 5, 2)
+    assert phi_polynomial(3) == UnivariatePolynomial([1, -2, 1])
+    assert delta_polynomial(2, 1) == UnivariatePolynomial([0, -1, 1])
+
+
+def test_phi_polynomial_degree_at_larger_d():
+    # Sturmfels-Uhler: phi(n, d) is a polynomial in n of degree d - 1
+    for d in range(1, 13):
+        assert phi_polynomial(d).degree() == d - 1, d
+    assert phi(8, 3) == 49 == phi_polynomial(3)(8)
+    assert phi(20, 10) == 4116734161
+
+
+def test_delta_polynomial_degree_and_zero():
+    for m in range(1, 7):
+        for s in range(1, 4):
+            poly = delta_polynomial(m, s)
+            assert poly.degree() <= m, (m, s)
+            assert poly(0) == 0, (m, s)
 
 
 def test_phi_c():
