@@ -9,10 +9,10 @@ entries forced to zero.
 
 Points of CQ_3 are pairs (A, B) of symmetric matrices with A.B scalar;
 `verify_cell_point` reconstructs the pair from cell coordinates and
-checks that relation exactly.  One cofactor pair, `_determinant` and
-`_adjugate`, gives both the symbolic companion of Y and the numeric
-adj(X) there; `verify_generic_point` takes its determinant from
-`exactmath.determinant`.
+checks that relation exactly.  The companion of Y is written down in
+closed form; the cofactor pair `_determinant` and `_adjugate` gives the
+numeric adj(X) there, and `verify_generic_point` takes its determinant
+from `exactmath.determinant`.
 """
 
 from fractions import Fraction
@@ -148,13 +148,16 @@ class CellParametrization:
     block of j.  Y is symmetric with monomial entries in y_1..y_{k-1}
     (projectively normalized so the first block's entry is 1), with y_j = 0
     exactly when the maxima of blocks j and j+1 descend.
+
+    The companion is the adjugate of Y with its common monomial and sign
+    cleared: where Y carries y_1 ... y_{t-1}, the companion carries
+    y_t ... y_{k-1}, so Y times the companion is y_1 ... y_{k-1} I.
     """
 
     __slots__ = (
         "sigma",
         "X",
         "Y",
-        "Y_symbolic",
         "companion",
         "free_x",
         "free_y",
@@ -202,39 +205,35 @@ class CellParametrization:
         self.X = tuple(x_rows)
         self.free_x = tuple(free_x)
 
-        # Symmetric monomial matrix: the t-th block carries y_1 ... y_{t-1}.
-        y_entries = {}
-        for t, block in enumerate(sigma.blocks, start=1):
-            mono = _ONE
-            for u in range(1, t):
-                mono = mono * MultivariatePolynomial.variable(f"y{u}")
-            if len(block) == 1:
-                y_entries[(block[0], block[0])] = mono
-            else:
-                y_entries[(block[0], block[1])] = mono
-                y_entries[(block[1], block[0])] = mono
-        y_sym = tuple(
-            tuple(y_entries.get((r, c), _ZERO) for c in range(1, n + 1))
-            for r in range(1, n + 1)
-        )
-        self.Y_symbolic = y_sym
-
-        kill = {f"y{j}": 0 for j in self.forced_y}
-        self.Y = tuple(
-            tuple(entry.substitute(kill) for entry in row) for row in y_sym
+        self.Y = _block_monomial_matrix(sigma, lambda t: range(1, t), self.forced_y)
+        self.companion = _block_monomial_matrix(
+            sigma, lambda t: range(t, k), self.forced_y
         )
         self.free_y = tuple(
             f"y{j}" for j in range(1, k) if j not in self.forced_y
         )
         self.free_variable_count = len(self.free_x) + len(self.free_y)
 
-        self.companion = tuple(
-            tuple(entry.substitute(kill) for entry in row)
-            for row in _companion_matrix(y_sym)
-        )
-
     def free_variables(self):
         return self.free_x + self.free_y
+
+
+def _block_monomial_matrix(sigma, span, forced_y):
+    """Symmetric n x n matrix that carries the product of y_u over u in
+    span(t) at the positions of the t-th block: its diagonal entry for a
+    singleton, the two off-diagonal entries for a pair.  An entry whose
+    product contains a forced y_u is 0."""
+    n = sigma.n
+    entries = {}
+    for t, block in enumerate(sigma.blocks, start=1):
+        us = span(t)
+        if not any(u in forced_y for u in us):
+            mono = MultivariatePolynomial.monomial(1, {f"y{u}": 1 for u in us})
+            entries[(block[0], block[-1])] = entries[(block[-1], block[0])] = mono
+    return tuple(
+        tuple(entries.get((r, c), _ZERO) for c in range(1, n + 1))
+        for r in range(1, n + 1)
+    )
 
 
 @lru_cache(maxsize=1024)
@@ -248,29 +247,27 @@ def _transpose(a):
     return tuple(tuple(row[c] for row in a) for c in range(len(a)))
 
 
-def _determinant(a, zero=_ZERO):
-    """Cofactor expansion along the first row.  The entries may be
-    MultivariatePolynomials or Fractions; `zero` is the zero of their ring."""
+def _determinant(a):
+    """Cofactor expansion along the first row of a matrix of Fractions."""
     size = len(a)
     if size == 1:
         return a[0][0]
-    total = zero
+    total = Fraction(0)
     for c in range(size):
-        if a[0][c] == zero:
+        if a[0][c] == 0:
             continue
         minor = tuple(row[:c] + row[c + 1 :] for row in a[1:])
-        term = a[0][c] * _determinant(minor, zero)
+        term = a[0][c] * _determinant(minor)
         total = total + term if c % 2 == 0 else total - term
     return total
 
 
-def _adjugate(a, one=_ONE):
-    """Transposed cofactor matrix, over the ring whose unit is `one`."""
+def _adjugate(a):
+    """Transposed cofactor matrix of a matrix of Fractions."""
     size = len(a)
     if size == 1:
-        return ((one,),)
-    zero = one - one
-    cof = [[zero] * size for _ in range(size)]
+        return ((Fraction(1),),)
+    cof = [[Fraction(0)] * size for _ in range(size)]
     for r in range(size):
         for c in range(size):
             minor = tuple(
@@ -278,36 +275,9 @@ def _adjugate(a, one=_ONE):
                 for i in range(size)
                 if i != r
             )
-            term = _determinant(minor, zero)
+            term = _determinant(minor)
             cof[r][c] = term if (r + c) % 2 == 0 else -term
     return _transpose(tuple(tuple(row) for row in cof))
-
-
-def _companion_matrix(y_sym):
-    """Adjugate of the symbolic Y with the common monomial (and sign of the
-    first nonzero entry) cleared; pairs with Y so that the product of the
-    reconstructed matrices is scalar."""
-    adj = _adjugate(y_sym)
-    gcd = None
-    sign = None
-    for row in adj:
-        for entry in row:
-            if entry.is_zero():
-                continue
-            expo = entry.monomial_gcd()
-            if gcd is None:
-                gcd = expo
-                sign = 1 if entry.leading_coefficient() > 0 else -1
-            else:
-                gcd = {
-                    v: min(e, expo.get(v, 0)) for v, e in gcd.items() if v in expo
-                }
-                gcd = {v: e for v, e in gcd.items() if e > 0}
-    if gcd is None:
-        return adj
-    return tuple(
-        tuple(entry.divide_by_monomial(gcd, sign) for entry in row) for row in adj
-    )
 
 
 def _numeric(matrix, values):
@@ -339,7 +309,7 @@ def cell_matrices(sigma, values):
     x_num = _numeric(param.X, vals)
     y_num = _numeric(param.Y, vals)
     companion_num = _numeric(param.companion, vals)
-    adj_x = _adjugate(x_num, Fraction(1))
+    adj_x = _adjugate(x_num)
     a = _mat_mul_numeric(_mat_mul_numeric(x_num, y_num), _transpose(x_num))
     b = _mat_mul_numeric(
         _mat_mul_numeric(_transpose(adj_x), companion_num), adj_x

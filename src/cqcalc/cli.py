@@ -142,7 +142,7 @@ def _cmd_phi(args):
 
 def _cmd_phi_poly(args):
     poly = quadrics.phi_polynomial(args.d)
-    return poly, {"d": args.d, "jobs": args.jobs}
+    return poly, {"d": args.d}
 
 
 def _cmd_delta(args):
@@ -155,7 +155,7 @@ def _cmd_delta(args):
 
 def _cmd_delta_poly(args):
     poly = quadrics.delta_polynomial(args.m, args.s)
-    return poly, {"m": args.m, "s": args.s, "jobs": args.jobs}
+    return poly, {"m": args.m, "s": args.s}
 
 
 def _cmd_phi_c(args):
@@ -488,7 +488,6 @@ _COMMANDS = {
     )),
     "phi-poly": _leaf(_cmd_phi_poly, lambda s: (
         s.add_argument("--d", type=int, required=True),
-        s.add_argument("--jobs", type=int, default=1, help="accepted and ignored"),
     )),
     "delta": _leaf(_cmd_delta, lambda s: (
         s.add_argument("--m", type=int, required=True),
@@ -498,7 +497,6 @@ _COMMANDS = {
     "delta-poly": _leaf(_cmd_delta_poly, lambda s: (
         s.add_argument("--m", type=int, required=True),
         s.add_argument("--s", type=int, required=True),
-        s.add_argument("--jobs", type=int, default=1, help="accepted and ignored"),
     )),
     "phi-c": _leaf(_cmd_phi_c, lambda s: (
         s.add_argument("--n", type=int, required=True),

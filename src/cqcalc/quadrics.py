@@ -26,12 +26,15 @@ the independent check on the closed form.
 For n = 2 the space is the plane of binary quadrics and the same relations
 hold with S_1 = 2 L_1, so no special casing is needed.
 
-`phi` and `delta` do not run the reduction.  `delta` is the
+`phi`, `phi_c` and `delta` do not run the reduction.  `delta` is the
 Nie-Ranestad-Sturmfels formula, delta(m, n, r) = sum of psi_I psi_{[n]-I}
 over the I in [n] with |I| = n - r and sum(I) = m, where psi_I are
-Lascoux coefficients (Pfaffians of the pair values); `phi` follows from
-`delta` by the phi-delta identity.  On the monomials they name, `_reduce`
-is the independent test oracle for both.
+Lascoux coefficients (Pfaffians of the pair values, found by elimination
+and not memoized); `phi_c` expands its one L_c factor in S_1..S_{n-1}
+through the Cartan inverse, which turns it into a sum of deltas; and `phi`
+is phi_c(n, 1, d).  Only `intersection_product` and `integrate_monomial`
+reduce; on the monomials that the closed forms name, `_reduce` is their
+independent test oracle.
 
 Everything here is pure and deterministic; the memo tables are the only
 shared state and individual dict operations are atomic, so concurrent
@@ -190,13 +193,13 @@ _product_memo = {}
 
 
 def clear_caches():
-    """Drop all memo tables (here and in the flag-variety layer); only
-    useful for timing measurements."""
+    """Drop all memo tables of the reduction (here and in the flag-variety
+    layer); only useful for timing measurements.  The closed forms for phi,
+    phi_c and delta keep no memo."""
     from . import schubert
 
     _product_memo.clear()
     _mixed_basis_expansion.cache_clear()
-    _psi.cache_clear()
     schubert._integral_memo.clear()
     schubert._cover_cache.clear()
 
@@ -274,25 +277,47 @@ def integrate_monomial(n, a, b, pick=None):
     return intersection_product(CQProduct(n, tuple(a), tuple(b)), pick=pick)
 
 
-@lru_cache(maxsize=None)
 def _psi(index):
     """Lascoux coefficient psi_I of an increasing tuple I of positive
     integers, with psi_() = 1.
 
     For i < j, psi_(i,j) = sum of C(i+j-2, k-1) over k = i..j-1.  A longer
-    I gives the Pfaffian of [psi_(i,j)], expanded along its first row; an
-    I of odd length gets 0 in front, with psi_(0,j) = psi_(j) = 2^(j-1).
+    I gives the Pfaffian of the skew matrix [psi_(i,j)]; an I of odd length
+    gets 0 in front, with psi_(0,j) = psi_(j) = 2^(j-1).
+
+    The Pfaffian comes from fraction-free elimination: pivot on the entry
+    (k, k+1), then replace every later entry (i, j) by the 4 x 4 Pfaffian on
+    k, k+1, i, j divided by the previous pivot.  Each entry is then the
+    Pfaffian of the leading rows together with i and j, so every division
+    is exact, and the last pivot is the Pfaffian.
     """
     if len(index) % 2:
         index = (0,) + index
-    if not index:
-        return 1
-    i, rest = index[0], index[1:]
-    total = 0
-    for k, j in enumerate(rest):
-        pair = sum(binomial(i + j - 2, t - 1) for t in range(i, j)) if i else 2 ** (j - 1)
-        total += (-1) ** k * pair * _psi(rest[:k] + rest[k + 1 :])
-    return total
+    size = len(index)
+    a = [[0] * size for _ in range(size)]
+    for r, i in enumerate(index):
+        for c in range(r + 1, size):
+            j = index[c]
+            a[r][c] = sum(binomial(i + j - 2, t - 1) for t in range(i, j)) if i else 2 ** (j - 1)
+            a[c][r] = -a[r][c]
+    sign, previous = 1, 1
+    for k in range(0, size, 2):
+        pivot = next((j for j in range(k + 1, size) if a[k][j]), None)
+        if pivot is None:
+            return 0
+        if pivot != k + 1:
+            # swapping the labels k+1 and pivot flips the Pfaffian's sign
+            for row in a:
+                row[k + 1], row[pivot] = row[pivot], row[k + 1]
+            a[k + 1], a[pivot] = a[pivot], a[k + 1]
+            sign = -sign
+        top, below, lead = a[k], a[k + 1], a[k][k + 1]
+        for i in range(k + 2, size):
+            row = a[i]
+            for j in range(k + 2, size):
+                row[j] = (lead * row[j] + below[i] * top[j] - top[i] * below[j]) // previous
+        previous = lead
+    return sign * previous
 
 
 def _subsets(low, high, size, total):
@@ -312,11 +337,9 @@ def phi(n, d):
     """ML-degree of a generic d-dimensional linear concentration model on
     symmetric n x n matrices: the integral of L_1^(C(n+1,2)-d) L_{n-1}^(d-1).
 
-    Computed as (1/n) * sum of s * delta(d, n, n-s) over the s with
-    C(s+1,2) <= d.  That identity expands one L_1 factor into degeneration
-    classes, so it needs at least one L_1 in the integrand; the single
-    boundary column d = C(n+1,2) has none and is evaluated through the
-    duality phi(n, C(n+1,2)) = phi(n, 1) instead.  `_reduce` on the
+    For d < C(n+1,2) this is phi_c(n, 1, d).  The single boundary column
+    d = C(n+1,2) has no L_1 factor left to expand, and is evaluated through
+    the duality phi(n, C(n+1,2)) = phi(n, 1) instead.  `_reduce` on the
     monomial above is the test oracle.
     """
     top = binomial(n + 1, 2)
@@ -324,16 +347,7 @@ def phi(n, d):
         raise DomainError("phi needs n >= 2")
     if not 1 <= d <= top:
         raise DomainError(f"d={d} out of range 1..{top}")
-    if d == top:
-        d = 1
-    total = 0
-    for s in range(1, n):
-        if binomial(s + 1, 2) > d:
-            break
-        total += s * delta(d, n, n - s)
-    if total % n:
-        raise RuntimeError("phi-delta relation produced a non-integer")
-    return total // n
+    return phi_c(n, 1, 1 if d == top else d)
 
 
 phi_from_delta = phi
@@ -372,17 +386,24 @@ def pataki_nonzero(m, n, r):
 
 def phi_c(n, c, d):
     """Integral of L_c L_1^(C(n+1,2)-d-1) L_{n-1}^(d-1); equals c * phi(n, d)
-    whenever C(n-c+2,2) > d."""
+    whenever C(n-c+2,2) > d.
+
+    The inverse of the (n-1) x (n-1) Cartan matrix writes L_c as
+    (1/n) * sum of min(c, r)(n - max(c, r)) S_r over r = 1..n-1, and the
+    integral of S_r against the rest of the monomial is delta(d, n, r).
+    `_reduce` on the monomial above is the test oracle.
+    """
     top = binomial(n + 1, 2)
     if n < 2 or not 1 <= c <= n - 1:
         raise DomainError("c out of range")
     if not 1 <= d < top:
         raise DomainError(f"d={d} out of range 1..{top - 1}")
-    b = [0] * (n - 1)
-    b[0] += top - d - 1
-    b[n - 2] += d - 1
-    b[c - 1] += 1
-    return integrate_monomial(n, (0,) * (n - 1), tuple(b))
+    denominator, expansion = _mixed_basis_expansion(n, c, frozenset(range(1, n)))
+    total = sum(coeff * delta(d, n, r) for (_, r), coeff in expansion.items())
+    value, rest = divmod(total, denominator)
+    if rest:
+        raise RuntimeError(f"non-integer phi_c {total}/{denominator}")
+    return value
 
 
 def phi_polynomial(d):

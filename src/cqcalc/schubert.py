@@ -232,14 +232,9 @@ def _monk_integral(n, b, order):
     if tuple(counts) != b:
         raise DomainError("order does not match exponents")
 
-    terms = {tuple(range(1, n + 1)): 1}
+    comb = SchubertCombination.identity(n)
     for slot in schedule:
-        gen = n - slot
-        out = {}
-        for w, c in terms.items():
-            for v in _covers(gen, w):
-                out[v] = out.get(v, 0) + c
-        if not out:
+        comb = monk_multiply_combination(n - slot, comb)
+        if not comb.terms:
             return 0
-        terms = out
-    return terms.get(longest_permutation(n), 0)
+    return comb.coefficient(longest_permutation(n))

@@ -109,6 +109,30 @@ def test_parametrization_identity_cell():
     assert param.companion[2][2] == 1
 
 
+def test_companion_pairs_with_y():
+    # Y carries y_1..y_{t-1} and the companion y_t..y_{k-1} on block t, so
+    # their product is scalar, and nonzero unless some y is forced to 0
+    zero = MultivariatePolynomial()
+    for n in range(1, 7):
+        for sigma in enumerate_two_permutations(n):
+            param = cell_parametrization(sigma)
+            for row in param.companion:
+                for entry in row:
+                    assert entry.is_zero() or list(entry.terms.values()) == [1], str(sigma)
+            product = [
+                [
+                    sum((y * c for y, c in zip(row, col) if not (y.is_zero() or c.is_zero())), zero)
+                    for col in zip(*param.companion)
+                ]
+                for row in param.Y
+            ]
+            scalar = product[0][0]
+            assert scalar.is_zero() == bool(param.forced_y), str(sigma)
+            for r in range(n):
+                for c in range(n):
+                    assert product[r][c] == (scalar if r == c else zero), str(sigma)
+
+
 def test_parametrization_is_built_once_per_sigma():
     first = cell_parametrization(TwoPermutation.parse("2|13"))
     assert cell_parametrization(TwoPermutation([(2,), (3, 1)])) is first

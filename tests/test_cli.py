@@ -254,11 +254,16 @@ def test_bad_inputs_are_domain_errors(capsys):
     assert code == 3 and "bad JSON" in err
 
 
-def test_phi_poly_with_jobs(capsys):
-    code, out, _ = run_cli(capsys, "phi-poly", "--d", "2", "--jobs", "2",
-                           "--format", "json")
+def test_phi_poly_json(capsys):
+    code, out, _ = run_cli(capsys, "phi-poly", "--d", "2", "--format", "json")
     assert code == 0
-    assert json.loads(out)["result"]["coefficients"] == [-1, 1]
+    payload = json.loads(out)
+    assert payload["result"]["coefficients"] == [-1, 1]
+    assert payload["meta"]["params"] == {"d": 2}
+    with pytest.raises(SystemExit) as exc:
+        main(["phi-poly", "--d", "2", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_timings_flag_adds_meta(capsys):
@@ -337,7 +342,7 @@ LEAVES = [path for path, sub in _subcommands(build_parser())
 # One valid argv per leaf subcommand.
 VALID_ARGV = [
     ("phi", "--n", "4", "--d", "3"),
-    ("phi-poly", "--d", "2", "--jobs", "1", "--format", "json"),
+    ("phi-poly", "--d", "2", "--format", "json"),
     ("delta", "--m", "2", "--n", "3", "--r", "2"),
     ("delta-poly", "--m", "2", "--s", "2", "--timings"),
     ("phi-c", "--n", "3", "--c", "1", "--d", "2"),

@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 
 from cqcalc.cli import main
 
-# `phi-c` and `product` are left out: they run the general reduction, which
-# has no work budget yet, so a drawn argv can run for a long time.
+# `product` is left out: it runs the general reduction, which has no work
+# budget yet, so a drawn argv can run for a long time.
 FLAGS = {
     "phi": ("--n", "--d"),
+    "phi-c": ("--n", "--c", "--d"),
     "delta": ("--m", "--n", "--r"),
     "pataki": ("--m", "--n", "--r"),
-    "phi-poly": ("--d", "--jobs"),
-    "delta-poly": ("--m", "--s", "--jobs"),
+    "phi-poly": ("--d",),
+    "delta-poly": ("--m", "--s"),
 }
 
 

@@ -357,6 +357,42 @@ def test_phi_closed_form_matches_reduction():
             assert phi(n, d) == expected, (n, d)
 
 
+def test_phi_c_closed_form_matches_reduction():
+    # the Cartan-inverse sum of deltas against the reduction of
+    # L_c L_1^(top-d-1) L_{n-1}^(d-1), on every admissible triple with n <= 6
+    checked = 0
+    for n in range(2, 7):
+        top = binomial(n + 1, 2)
+        for c in range(1, n):
+            for d in range(1, top):
+                b = list(_corner(n, top - d - 1, d - 1))
+                b[c - 1] += 1
+                expected = integrate_monomial(n, (0,) * (n - 1), b)
+                assert phi_c(n, c, d) == expected, (n, c, d)
+                checked += 1
+    assert checked == 195
+
+
+def _psi_by_expansion(index):
+    """psi_I by the first-row expansion of the Pfaffian, with no memo."""
+    if len(index) % 2:
+        index = (0,) + index
+    if not index:
+        return 1
+    i, rest = index[0], index[1:]
+    total = 0
+    for k, j in enumerate(rest):
+        pair = sum(binomial(i + j - 2, t - 1) for t in range(i, j)) if i else 2 ** (j - 1)
+        total += (-1) ** k * pair * _psi_by_expansion(rest[:k] + rest[k + 1 :])
+    return total
+
+
+def test_psi_elimination_matches_expansion():
+    for size in range(9):
+        for index in combinations(range(1, 9), size):
+            assert _psi(index) == _psi_by_expansion(index), index
+
+
 def test_psi_small_values():
     # psi_(i) = 2^(i-1); psi_(i,j) = sum_{k=i}^{j-1} C(i+j-2, k-1);
     # longer I by the Pfaffian of the pair values, with 0 in front when |I|
@@ -379,10 +415,13 @@ def test_psi_small_values():
 
 def test_closed_forms_do_not_reduce(monkeypatch):
     def refuse(*args):
-        raise AssertionError("_reduce called")
+        raise AssertionError("reduction called")
 
     monkeypatch.setattr(quadrics, "_reduce", refuse)
+    monkeypatch.setattr(quadrics, "flag_integral", refuse)
     assert phi(7, 3) == 36
+    assert phi_c(7, 3, 4) == 3 * phi(7, 4)
+    assert phi_c(4, 2, 2) == 6
     assert phi_from_delta(5, 15) == 1
     assert delta(4, 5, 3) == delta(11, 5, 2)
     assert phi_polynomial(3) == UnivariatePolynomial([1, -2, 1])
@@ -395,6 +434,9 @@ def test_phi_polynomial_degree_at_larger_d():
         assert phi_polynomial(d).degree() == d - 1, d
     assert phi(8, 3) == 49 == phi_polynomial(3)(8)
     assert phi(20, 10) == 4116734161
+    # past the reach of a memoized first-row Pfaffian expansion
+    assert phi(30, 3) == 29**2 and phi(40, 3) == 39**2
+    assert phi(24, 10) == 25582740403
 
 
 def test_delta_polynomial_degree_and_zero():
