@@ -10,16 +10,22 @@ entries forced to zero.
 Points of CQ_3 are pairs (A, B) of symmetric matrices with A.B scalar;
 `verify_cell_point` reconstructs the pair from cell coordinates and
 checks that relation exactly.  The companion of Y is written down in
-closed form; the cofactor pair `_determinant` and `_adjugate` gives the
-numeric adj(X) there, and `verify_generic_point` takes its determinant
-from `exactmath.determinant`.
+closed form; X is unitriangular, so adj(X) = X^-1, whose columns come
+from `exactmath.solve_linear_system`, and `verify_generic_point` takes its
+determinant from `exactmath.determinant`.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .exactmath import DomainError, MultivariatePolynomial, binomial, determinant
+from .exactmath import (
+    DomainError,
+    MultivariatePolynomial,
+    binomial,
+    determinant,
+    solve_linear_system,
+)
 
 _ONE = MultivariatePolynomial.constant(1)
 _ZERO = MultivariatePolynomial()
@@ -247,39 +253,6 @@ def _transpose(a):
     return tuple(tuple(row[c] for row in a) for c in range(len(a)))
 
 
-def _determinant(a):
-    """Cofactor expansion along the first row of a matrix of Fractions."""
-    size = len(a)
-    if size == 1:
-        return a[0][0]
-    total = Fraction(0)
-    for c in range(size):
-        if a[0][c] == 0:
-            continue
-        minor = tuple(row[:c] + row[c + 1 :] for row in a[1:])
-        term = a[0][c] * _determinant(minor)
-        total = total + term if c % 2 == 0 else total - term
-    return total
-
-
-def _adjugate(a):
-    """Transposed cofactor matrix of a matrix of Fractions."""
-    size = len(a)
-    if size == 1:
-        return ((Fraction(1),),)
-    cof = [[Fraction(0)] * size for _ in range(size)]
-    for r in range(size):
-        for c in range(size):
-            minor = tuple(
-                tuple(a[i][j] for j in range(size) if j != c)
-                for i in range(size)
-                if i != r
-            )
-            term = _determinant(minor)
-            cof[r][c] = term if (r + c) % 2 == 0 else -term
-    return _transpose(tuple(tuple(row) for row in cof))
-
-
 def _numeric(matrix, values):
     return tuple(
         tuple(entry.evaluate(values) if not entry.is_zero() else Fraction(0) for entry in row)
@@ -309,11 +282,14 @@ def cell_matrices(sigma, values):
     x_num = _numeric(param.X, vals)
     y_num = _numeric(param.Y, vals)
     companion_num = _numeric(param.companion, vals)
-    adj_x = _adjugate(x_num)
-    a = _mat_mul_numeric(_mat_mul_numeric(x_num, y_num), _transpose(x_num))
-    b = _mat_mul_numeric(
-        _mat_mul_numeric(_transpose(adj_x), companion_num), adj_x
+    # X is unitriangular, so adj(X) = X^-1; row k of r = adj(X)^t solves
+    # X r_k = e_k.
+    r = tuple(
+        tuple(solve_linear_system(x_num, [int(i == k) for i in range(3)]))
+        for k in range(3)
     )
+    a = _mat_mul_numeric(_mat_mul_numeric(x_num, y_num), _transpose(x_num))
+    b = _mat_mul_numeric(_mat_mul_numeric(r, companion_num), _transpose(r))
     return a, b
 
 

@@ -1,5 +1,10 @@
 """Command-line front end: every calculator behind one `cq` entry point.
 
+The command tree is one table, `_COMMANDS`.  A subcommand that passes its
+integer and integer-list options straight to one library function is a
+single `_call` entry; the others have a handler that reads files, parses
+richer input or shapes the result.
+
 Output is plain text by default or a single JSON object with --format
 json; the object carries a schema tag, the result, and a meta block
 echoing the parameters.  Exit codes: 0 success, 2 usage error, 3 domain
@@ -136,56 +141,6 @@ def _parse_sigma(text):
 
 # --- handlers -------------------------------------------------------------
 
-def _cmd_phi(args):
-    return quadrics.phi(args.n, args.d), {"n": args.n, "d": args.d}
-
-
-def _cmd_phi_poly(args):
-    poly = quadrics.phi_polynomial(args.d)
-    return poly, {"d": args.d}
-
-
-def _cmd_delta(args):
-    return quadrics.delta(args.m, args.n, args.r), {
-        "m": args.m,
-        "n": args.n,
-        "r": args.r,
-    }
-
-
-def _cmd_delta_poly(args):
-    poly = quadrics.delta_polynomial(args.m, args.s)
-    return poly, {"m": args.m, "s": args.s}
-
-
-def _cmd_phi_c(args):
-    return quadrics.phi_c(args.n, args.c, args.d), {
-        "n": args.n,
-        "c": args.c,
-        "d": args.d,
-    }
-
-
-def _cmd_product(args):
-    a = _parse_int_list(args.a)
-    b = _parse_int_list(args.b)
-    value = quadrics.integrate_monomial(args.n, a, b)
-    return value, {"n": args.n, "a": a, "b": b}
-
-
-def _cmd_pataki(args):
-    return quadrics.pataki_nonzero(args.m, args.n, args.r), {
-        "m": args.m,
-        "n": args.n,
-        "r": args.r,
-    }
-
-
-def _cmd_flag_integral(args):
-    b = _parse_int_list(args.b)
-    return schubert.flag_integral(args.n, b), {"n": args.n, "b": b}
-
-
 def _cmd_monk(args):
     w = tuple(_parse_int_list(args.w))
     comb = schubert.monk_multiply(args.i, w)
@@ -193,11 +148,6 @@ def _cmd_monk(args):
         ",".join(str(x) for x in v): c for v, c in sorted(comb.terms.items())
     }
     return result, {"i": args.i, "w": list(w)}
-
-
-def _cmd_hypersurface(args):
-    value = quadrics.hypersurface_characteristic_number(args.d, args.n, args.b)
-    return value, {"d": args.d, "n": args.n, "b": args.b}
 
 
 def _cmd_matroid_charpoly(args):
@@ -221,11 +171,6 @@ def _cmd_matroid_chromatic(args):
     return matroid_mod.chromatic_polynomial(g), {"graph": args.graph}
 
 
-def _cmd_matroid_euler(args):
-    nu = _parse_int_list(args.nu)
-    return matroid_mod.euler_characteristic_complement(nu), {"nu": nu}
-
-
 def _cmd_toric_fan_check(args):
     fan = _load_fan(args)
     fan.check_smooth()
@@ -237,10 +182,6 @@ def _cmd_toric_fan_check(args):
         "rays": len(fan.rays),
         "maximal_cones": len(fan.maximal_cones),
     }, {}
-
-
-def _cmd_toric_mu_generic(args):
-    return toric_mod.mu_generic(args.n), {"n": args.n}
 
 
 def _ray_index(i):
@@ -333,13 +274,9 @@ def _cmd_cells_verify(args):
 
 
 def _cmd_segre_mu(args):
+    """`segre mu` and `segre nu`: nu_from_segre is mu_from_segre."""
     data = _segre_data(args)
     return segre_mod.mu_from_segre(data, args.i), {"i": args.i}
-
-
-def _cmd_segre_nu(args):
-    data = _segre_data(args)
-    return segre_mod.nu_from_segre(data, args.i), {"i": args.i}
 
 
 def _segre_data(args):
@@ -360,12 +297,6 @@ def _cmd_segre_correct(args):
     s = _parse_int_list(args.s) if args.s else []
     value = segre_mod.nu_from_mu_correction(args.mu, args.n, len(s) - 1, s)
     return value, {"mu": args.mu, "n": args.n, "s": s}
-
-
-def _cmd_segre_compare(args):
-    mu = _parse_int_list(args.mu)
-    nu = _parse_int_list(args.nu)
-    return segre_mod.mu_nu_inequality_check(mu, nu), {"mu": mu, "nu": nu}
 
 
 # --- plumbing -------------------------------------------------------------
@@ -429,6 +360,31 @@ def _leaf(handler, configure):
     return add
 
 
+def _call(fn, *spec):
+    """A leaf that calls `fn` with one value per spec item, in spec order,
+    and echoes them as params.  An item is the name of a required int
+    option, or (name, help) for a required comma-separated integer list;
+    the handler parses the list, so a malformed one is a domain error."""
+    names = [item if isinstance(item, str) else item[0] for item in spec]
+
+    def handler(args):
+        values = [
+            getattr(args, item) if isinstance(item, str)
+            else _parse_int_list(getattr(args, item[0]))
+            for item in spec
+        ]
+        return fn(*values), dict(zip(names, values))
+
+    def configure(s):
+        for item in spec:
+            if isinstance(item, str):
+                s.add_argument(f"--{item}", type=int, required=True)
+            else:
+                s.add_argument(f"--{item[0]}", required=True, help=item[1])
+
+    return _leaf(handler, configure)
+
+
 def _group(actions):
     """A subcommand that only chooses one of `actions` (name -> add)."""
 
@@ -482,63 +438,38 @@ _CELLS_ACTIONS = {
 
 # The top-level subcommands, in usage order: name -> add(subparsers, name).
 _COMMANDS = {
-    "phi": _leaf(_cmd_phi, lambda s: (
-        s.add_argument("--n", type=int, required=True),
-        s.add_argument("--d", type=int, required=True),
-    )),
-    "phi-poly": _leaf(_cmd_phi_poly, lambda s: (
-        s.add_argument("--d", type=int, required=True),
-    )),
-    "delta": _leaf(_cmd_delta, lambda s: (
-        s.add_argument("--m", type=int, required=True),
-        s.add_argument("--n", type=int, required=True),
-        s.add_argument("--r", type=int, required=True),
-    )),
-    "delta-poly": _leaf(_cmd_delta_poly, lambda s: (
-        s.add_argument("--m", type=int, required=True),
-        s.add_argument("--s", type=int, required=True),
-    )),
-    "phi-c": _leaf(_cmd_phi_c, lambda s: (
-        s.add_argument("--n", type=int, required=True),
-        s.add_argument("--c", type=int, required=True),
-        s.add_argument("--d", type=int, required=True),
-    )),
-    "product": _leaf(_cmd_product, lambda s: (
-        s.add_argument("--n", type=int, required=True),
-        s.add_argument("--a", required=True, help="comma-separated exponents of S_1..S_{n-1}"),
-        s.add_argument("--b", required=True, help="comma-separated exponents of L_1..L_{n-1}"),
-    )),
-    "pataki": _leaf(_cmd_pataki, lambda s: (
-        s.add_argument("--m", type=int, required=True),
-        s.add_argument("--n", type=int, required=True),
-        s.add_argument("--r", type=int, required=True),
-    )),
-    "flag-integral": _leaf(_cmd_flag_integral, lambda s: (
-        s.add_argument("--n", type=int, required=True),
-        s.add_argument("--b", required=True),
-    )),
+    "phi": _call(quadrics.phi, "n", "d"),
+    "phi-poly": _call(quadrics.phi_polynomial, "d"),
+    "delta": _call(quadrics.delta, "m", "n", "r"),
+    "delta-poly": _call(quadrics.delta_polynomial, "m", "s"),
+    "phi-c": _call(quadrics.phi_c, "n", "c", "d"),
+    "product": _call(
+        quadrics.integrate_monomial,
+        "n",
+        ("a", "comma-separated exponents of S_1..S_{n-1}"),
+        ("b", "comma-separated exponents of L_1..L_{n-1}"),
+    ),
+    "pataki": _call(quadrics.pataki_nonzero, "m", "n", "r"),
+    "flag-integral": _call(schubert.flag_integral, "n", ("b", None)),
     "monk": _leaf(_cmd_monk, lambda s: (
         s.add_argument("--i", type=int, required=True),
         s.add_argument("--w", required=True, help="one-line notation, e.g. 2,1,3"),
     )),
-    "hypersurface-count": _leaf(_cmd_hypersurface, lambda s: (
-        s.add_argument("--d", type=int, required=True),
-        s.add_argument("--n", type=int, required=True),
-        s.add_argument("--b", type=int, required=True),
-    )),
+    "hypersurface-count": _call(
+        quadrics.hypersurface_characteristic_number, "d", "n", "b"
+    ),
     "matroid": _group({
         "charpoly": _leaf(_cmd_matroid_charpoly, _matroid_source),
         "reduced": _leaf(_cmd_matroid_reduced, _matroid_source),
         "chromatic": _leaf(_cmd_matroid_chromatic, _matroid_source),
-        "euler": _leaf(_cmd_matroid_euler, lambda s: (
-            s.add_argument("--nu", required=True, help="comma-separated integers"),
-        )),
+        "euler": _call(
+            matroid_mod.euler_characteristic_complement,
+            ("nu", "comma-separated integers"),
+        ),
     }),
     "toric": _group({
         "fan-check": _leaf(_cmd_toric_fan_check, _fan_source),
-        "mu-generic": _leaf(_cmd_toric_mu_generic, lambda s: (
-            s.add_argument("--n", type=int, required=True),
-        )),
+        "mu-generic": _call(toric_mod.mu_generic, "n"),
         "integral": _leaf(_cmd_toric_integral, lambda s: (
             _fan_source(s),
             s.add_argument(
@@ -553,7 +484,7 @@ _COMMANDS = {
             s.add_argument("--data", required=True, help="JSON Segre data (or @file)"),
             s.add_argument("--i", type=int, required=True),
         )),
-        "nu": _leaf(_cmd_segre_nu, lambda s: (
+        "nu": _leaf(_cmd_segre_mu, lambda s: (
             s.add_argument("--data", required=True),
             s.add_argument("--i", type=int, required=True),
         )),
@@ -562,10 +493,7 @@ _COMMANDS = {
             s.add_argument("--n", type=int, required=True),
             s.add_argument("--s", default="", help="comma-separated Segre degrees"),
         )),
-        "compare": _leaf(_cmd_segre_compare, lambda s: (
-            s.add_argument("--mu", required=True),
-            s.add_argument("--nu", required=True),
-        )),
+        "compare": _call(segre_mod.mu_nu_inequality_check, ("mu", None), ("nu", None)),
     }),
 }
 
@@ -581,8 +509,13 @@ def build_parser(argv=None):
         description="Exact intersection-theory calculators for complete "
         "quadrics, flag varieties, matroids and toric Chow rings.",
     )
-    top = parser.add_subparsers(dest="command")
-    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    filtered = bool(argv) and argv[0] in _COMMANDS
+    names = argv[:1] if filtered else _COMMANDS
+    # A filtered parser's usage line (printed for unrecognized arguments)
+    # still lists every subcommand.  The full parser keeps the default: its
+    # "invalid choice" error would name the metavar instead of "command".
+    metavar = "{" + ",".join(_COMMANDS) + "}" if filtered else None
+    top = parser.add_subparsers(dest="command", metavar=metavar)
     for name in names:
         _COMMANDS[name](top, name)
     return parser

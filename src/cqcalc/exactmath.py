@@ -341,39 +341,6 @@ class MultivariatePolynomial:
     def variables(self):
         return sorted({v for key in self.terms for v, _ in key})
 
-    def monomial_gcd(self):
-        """Greatest common monomial divisor of all terms (1 for the zero
-        polynomial), as an exponent dict."""
-        if not self.terms:
-            return {}
-        gcd = None
-        for key in self.terms:
-            expo = dict(key)
-            if gcd is None:
-                gcd = expo
-            else:
-                gcd = {v: min(e, expo.get(v, 0)) for v, e in gcd.items() if v in expo}
-        return {v: e for v, e in gcd.items() if e > 0}
-
-    def divide_by_monomial(self, exponents, coeff=1):
-        """Exact division by coeff * monomial; raises if not divisible."""
-        coeff = _frac(coeff)
-        out = {}
-        for key, c in self.terms.items():
-            expo = dict(key)
-            for v, e in exponents.items():
-                if expo.get(v, 0) < e:
-                    raise DomainError("monomial division leaves remainder")
-                expo[v] -= e
-            out[tuple(sorted(expo.items()))] = c / coeff
-        return MultivariatePolynomial(out)
-
-    def leading_coefficient(self):
-        """Coefficient of the lexicographically smallest monomial key."""
-        if not self.terms:
-            return Fraction(0)
-        return self.terms[min(self.terms)]
-
     def __repr__(self):
         return f"MultivariatePolynomial({self.terms!r})"
 

@@ -43,17 +43,9 @@ class Graph:
         self.edges = tuple(edges)
 
     def component_count(self):
-        parent = list(range(self.vertex_count + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in self.edges:
-            parent[find(u)] = find(v)
-        return len({find(v) for v in range(1, self.vertex_count + 1)})
+        """Connected components, isolated vertices included: the rank of
+        the graphic matroid is the vertex count minus this."""
+        return self.vertex_count - matroid_from_graph(self).full_rank()
 
 
 def cycle_graph(k):

@@ -52,6 +52,7 @@ from .exactmath import (
     interpolate,
     solve_linear_system,
 )
+from . import schubert
 from .schubert import flag_integral
 
 
@@ -196,12 +197,9 @@ def clear_caches():
     """Drop all memo tables of the reduction (here and in the flag-variety
     layer); only useful for timing measurements.  The closed forms for phi,
     phi_c and delta keep no memo."""
-    from . import schubert
-
     _product_memo.clear()
     _mixed_basis_expansion.cache_clear()
-    schubert._integral_memo.clear()
-    schubert._cover_cache.clear()
+    schubert.clear_caches()
 
 
 def _reduce(n, a, b, pick):

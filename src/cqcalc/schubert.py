@@ -154,6 +154,13 @@ def monk_multiply_combination(i, comb):
     return SchubertCombination(comb.n, out)
 
 
+def clear_caches():
+    """Drop the flag-integral memo and the Monk cover cache; only useful
+    for timing measurements."""
+    _integral_memo.clear()
+    _cover_cache.clear()
+
+
 def flag_integral(n, b, order=None):
     """Top intersection number of hyperplane-type generators on Fl_n.
 

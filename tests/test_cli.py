@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -414,6 +415,7 @@ def test_filtered_namespace_matches_full_parser(capsys):
     (["matroid"], 2, "cq matroid: error: the following arguments are required: action"),
     (["matroid", "bogus"], 2, "invalid choice: 'bogus'"),
     (["phi", "--n", "x", "--d", "1"], 2, "cq phi: error: argument --n: invalid int value"),
+    (["phi-poly", "--d", "2", "--jobs", "2"], 2, "unrecognized arguments: --jobs 2"),
 ])
 def test_usage_errors_match_full_parser(capsys, monkeypatch, argv, code, needle):
     def outcome():
@@ -433,3 +435,44 @@ def test_usage_errors_match_full_parser(capsys, monkeypatch, argv, code, needle)
         assert filtered[1].startswith("usage: cq [-h]") and filtered[2] == ""
     else:
         assert needle in filtered[2]
+
+
+# The leaves that are one `_call` entry, with one argv each and the values
+# it parses to.
+CALL_LEAVES = [
+    (("phi", "--n", "4", "--d", "3"), {"n": 4, "d": 3}),
+    (("phi-poly", "--d", "2"), {"d": 2}),
+    (("delta", "--m", "2", "--n", "3", "--r", "2"), {"m": 2, "n": 3, "r": 2}),
+    (("delta-poly", "--m", "2", "--s", "1"), {"m": 2, "s": 1}),
+    (("phi-c", "--n", "3", "--c", "1", "--d", "2"), {"n": 3, "c": 1, "d": 2}),
+    (("product", "--n", "3", "--a", "0,0", "--b", "5 0"),
+     {"n": 3, "a": [0, 0], "b": [5, 0]}),
+    (("pataki", "--m", "1", "--n", "3", "--r", "1"), {"m": 1, "n": 3, "r": 1}),
+    (("flag-integral", "--n", "3", "--b", "1,2"), {"n": 3, "b": [1, 2]}),
+    (("hypersurface-count", "--d", "5", "--n", "2", "--b", "1"),
+     {"d": 5, "n": 2, "b": 1}),
+    (("matroid", "euler", "--nu", "1,2,1"), {"nu": [1, 2, 1]}),
+    (("toric", "mu-generic", "--n", "3"), {"n": 3}),
+    (("segre", "compare", "--mu", "1,2", "--nu", "1,-2"),
+     {"mu": [1, 2], "nu": [1, -2]}),
+]
+
+
+def _command(argv):
+    return " ".join(itertools.takewhile(lambda a: not a.startswith("--"), argv))
+
+
+def test_call_leaves_are_the_table_entries():
+    calls = {" ".join(path) for path, sub in _subcommands(build_parser())
+             if getattr(sub.get_default("handler"), "__qualname__", "")
+             == "_call.<locals>.handler"}
+    assert calls == {_command(argv) for argv, _ in CALL_LEAVES}
+
+
+@pytest.mark.parametrize("argv, params", CALL_LEAVES,
+                         ids=[_command(argv) for argv, _ in CALL_LEAVES])
+def test_call_leaves_echo_parsed_values(capsys, argv, params):
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and err == ""
+    meta = json.loads(out)["meta"]
+    assert meta == {"command": _command(argv), "params": params}

@@ -19,6 +19,7 @@ FLAGS = {
     "pataki": ("--m", "--n", "--r"),
     "phi-poly": ("--d",),
     "delta-poly": ("--m", "--s"),
+    "hypersurface-count": ("--d", "--n", "--b"),
 }
 
 

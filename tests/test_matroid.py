@@ -275,6 +275,41 @@ def test_chromatic_counts_colorings():
             assert poly(q) == count
 
 
+def _bfs_components(g):
+    neighbours = {v: set() for v in range(1, g.vertex_count + 1)}
+    for u, v in g.edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    seen, count = set(), 0
+    for start in neighbours:
+        if start in seen:
+            continue
+        count += 1
+        queue = [start]
+        seen.add(start)
+        while queue:
+            for w in neighbours[queue.pop(0)] - seen:
+                seen.add(w)
+                queue.append(w)
+    return count
+
+
+def test_component_count_matches_bfs():
+    graphs = list(_graph_corpus().values()) + [
+        Graph(0, []),
+        Graph(4, []),
+        Graph(6, [(2, 2), (3, 4), (4, 3), (3, 4), (6, 6)]),
+        Graph(7, [(1, 2), (2, 3), (5, 6), (7, 7)]),
+    ]
+    rng = random.Random(11)
+    for _ in range(40):
+        v = rng.randint(1, 8)
+        edges = [(rng.randint(1, v), rng.randint(1, v)) for _ in range(rng.randint(0, 8))]
+        graphs.append(Graph(v, edges))
+    for g in graphs:
+        assert g.component_count() == _bfs_components(g), g.edges
+
+
 def test_euler_characteristic_complement():
     assert euler_characteristic_complement((1, 1, 1)) == 1
     assert euler_characteristic_complement((1, 1, 1, 1)) == 0

@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from cqcalc import quadrics, schubert
 from cqcalc.exactmath import DomainError, binomial
 from cqcalc.schubert import (
     SchubertCombination,
@@ -149,3 +150,11 @@ def test_flag_integral_rejects_bad_schedule():
         flag_integral(3, (1, 2), order=(1, 1, 2))
     with pytest.raises(DomainError, match="out of range"):
         flag_integral(3, (1, 2), order=(1, 2, 3))
+
+
+def test_clear_caches_empties_both_tables():
+    flag_integral(3, (1, 2))
+    flag_integral(3, (1, 2), order=(1, 2, 2))
+    assert schubert._integral_memo and schubert._cover_cache
+    quadrics.clear_caches()
+    assert not schubert._integral_memo and not schubert._cover_cache
