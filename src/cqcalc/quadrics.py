@@ -23,6 +23,17 @@ every intermediate value is the integer integral of a top-degree class.
 `l_in_mixed_basis` solves the same basis change as a linear system and is
 the independent check on the closed form.
 
+Most nodes of the rewriting are 0, and a dimension count finds them first.
+A node with every a_i in {0, 1} is the integral of L^b over the stratum
+Z_A cut out by the S_i with a_i = 1.  Each L_j is base-point-free, the
+pullback of O(1) along Q -> Lambda^j Q (De Concini-Procesi, Thaddeus), and
+on Z_A a chosen set of them factors through a bundle over a partial flag
+variety whose fibres are smaller CQ_m (see `_exceeds_stratum`).  A product
+of pulled-back classes of degree above the dimension of the space they
+come from is 0, so such a node is answered 0 before it recurses or reaches
+the flag layer.  The surplus nodes (some a_i >= 2) carry signed terms and
+are rewritten as before.
+
 For n = 2 the space is the plane of binary quadrics and the same relations
 hold with S_1 = 2 L_1, so no special casing is needed.
 
@@ -202,6 +213,44 @@ def clear_caches():
     schubert.clear_caches()
 
 
+def _exceeds_stratum(n, a, b):
+    """True when L^b vanishes on the stratum Z_A = (intersection of the S_i
+    with a_i = 1) for a dimension reason; a must lie in {0, 1}^(n-1).
+
+    The cut points 0 = c_0 < ... < c_{k+1} = n are 0, n and the i with
+    a_i = 1; Z_A fibres over the partial flag variety F(A; n) with fibre the
+    product of CQ_m over the blocks (c_t, c_{t+1}) of size m.  For P in A
+    and a set T of blocks with both ends in P u {0, n}, the L_j with j in P
+    or inside a block of T are pulled back from a bundle over F(P; n) with
+    fibres those CQ_m, of dimension (n^2 - sum of d^2)/2 (d over the gaps of
+    P u {0, n}) plus the C(m+1, 2) - 1 of each block in T.  A product of
+    classes pulled back from a space, of degree above its dimension, is 0.
+
+    The best (P, T) is a longest path over the cut points, scored twice
+    over so that it stays integral: a step of length d that ends on the cut
+    point q earns d^2 + 2 b_q (b_n = 0), and a step between neighbouring
+    cut points that takes its block into T earns 2 (b summed inside the
+    block) - d + 2 + 2 b_q instead.  The monomial dies when the best path
+    to n scores above n^2.
+    """
+    cuts, best = [0], [0]
+    inner = q = 0
+    for x, y in zip(a + (1,), b + (0,)):
+        q += 1
+        if not x:
+            inner += y
+            continue
+        top = best[-1] + 2 * inner - (q - cuts[-1]) + 2
+        for c, v in zip(cuts, best):
+            v += (q - c) * (q - c)
+            if v > top:
+                top = v
+        cuts.append(q)
+        best.append(top + 2 * y)
+        inner = 0
+    return best[-1] > n * n
+
+
 def _reduce(n, a, b, pick):
     """Integer value of the top-degree monomial S^a L^b on CQ_n."""
     memoize = pick is None
@@ -219,6 +268,9 @@ def _reduce(n, a, b, pick):
             if 0 <= j <= n - 2:
                 new_b = b[:j] + (b[j] + 1,) + b[j + 1 :]
                 value += coeff * _reduce(n, new_a, new_b, pick)
+    elif _exceeds_stratum(n, a, b):
+        # L^b has more degree than the data it factors through on Z_A.
+        value = 0
     elif min(a) == 1:
         # Fully degenerate locus: a flag variety, with each L_i restricting
         # to twice a Schubert divisor.
@@ -229,6 +281,8 @@ def _reduce(n, a, b, pick):
         if not candidates:
             # Every missing degeneration direction also misses hyperplane
             # factors, and the product dies on a smaller partial-flag locus.
+            # The stratum bound already catches this; the branch keeps the
+            # reduction right without it, as the tests' oracle runs it.
             value = 0
         else:
             i = candidates[0] if pick is None else pick(candidates)

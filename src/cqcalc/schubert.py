@@ -172,8 +172,10 @@ def flag_integral(n, b, order=None):
     Monk's rule in that order instead, which the tests use as the oracle.
     """
     b = tuple(b)
-    if n < 2 or len(b) != n - 1:
-        raise DomainError(f"need n >= 2 and {n-1} exponents, got {b!r}")
+    if n < 2:
+        raise DomainError(f"Fl_n needs n >= 2, got n={n}")
+    if len(b) != n - 1:
+        raise DomainError(f"need {n-1} exponents for Fl_{n}, got {b!r}")
     if any(x < 0 for x in b):
         raise DomainError("negative exponent")
     if sum(b) != binomial(n, 2):

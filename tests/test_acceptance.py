@@ -8,6 +8,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 from cqcalc.cells import (
     TwoPermutation,
@@ -266,3 +267,42 @@ def test_criterion_13_scale_probe():
     for d in (1, 2, 3):
         assert values[d - 1] == phi_polynomial(d)(6), d
     _report(13, f"phi(6, d<=10) = {values} in {elapsed:.2f}s, on-polynomial for d<=3")
+
+
+def _tangency_count(n):
+    """Quadrics in P^(n-1) tangent to D = dim CQ_n general quadrics: the
+    class of the tangency condition is 2(L_1 + ... + L_{n-1}), so the count
+    is 2^D times the sum of multinomial(D; b) * integral of L^b."""
+    dim = cq_dimension(n)
+
+    def compositions(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for head in range(total + 1):
+            for rest in compositions(total - head, parts - 1):
+                yield (head,) + rest
+
+    total = 0
+    for b in compositions(dim, n - 1):
+        multinomial = factorial(dim)
+        for x in b:
+            multinomial //= factorial(x)
+        total += multinomial * integrate_monomial(n, (0,) * (n - 1), b)
+    return 2 ** dim * total
+
+
+def test_criterion_14_schubert_characteristic_numbers():
+    # Schubert's published counts, each on cleared memo tables so that the
+    # reduction (with its stratum bound) runs in full
+    clear_caches()
+    conics = _tangency_count(3)
+    clear_caches()
+    quadric_surfaces = _tangency_count(4)
+    clear_caches()
+    nu9 = integrate_monomial(4, (0, 0, 0), (0, 9, 0))
+    assert conics == 3264
+    assert quadric_surfaces == 666_841_088
+    assert nu9 == 92
+    _report(14, "3264 conics tangent to 5 conics; 666,841,088 quadric surfaces tangent "
+                "to 9 quadrics; 92 quadric surfaces tangent to 9 lines")

@@ -68,6 +68,9 @@ def test_domain_error_exits_3(capsys):
     code, _, err = run_cli(capsys, "flag-integral", "--n", "3", "--b", "1,1")
     assert code == 3
     assert "degree mismatch" in err
+    code, _, err = run_cli(capsys, "flag-integral", "--n", "1", "--b", "")
+    assert code == 3
+    assert "Fl_n needs n >= 2, got n=1" in err
     code, _, err = run_cli(capsys, "hypersurface-count", "--d", "6", "--n", "2", "--b", "1")
     assert code == 3
     assert "outside theorem hypotheses" in err

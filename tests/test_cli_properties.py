@@ -1,6 +1,6 @@
 """Property test of the CLI exit-code contract: on any argv drawn for the
-closed-form subcommands, `main` returns 0, 2 or 3 or argparse exits with 2,
-and no other exception escapes."""
+closed-form subcommands and `flag-integral`, `main` returns 0, 2 or 3 or
+argparse exits with 2, and no other exception escapes."""
 
 import contextlib
 import io
@@ -10,16 +10,21 @@ from hypothesis import strategies as st
 
 from cqcalc.cli import main
 
+INT = st.integers(-2, 10).map(str)
+# A flag integral with n <= 10 takes under 0.1 s, so no drawn list can hang.
+INT_LIST = st.lists(st.integers(-2, 10), max_size=10).map(lambda xs: ",".join(map(str, xs)))
+
 # `product` is left out: it runs the general reduction, which has no work
 # budget yet, so a drawn argv can run for a long time.
 FLAGS = {
-    "phi": ("--n", "--d"),
-    "phi-c": ("--n", "--c", "--d"),
-    "delta": ("--m", "--n", "--r"),
-    "pataki": ("--m", "--n", "--r"),
-    "phi-poly": ("--d",),
-    "delta-poly": ("--m", "--s"),
-    "hypersurface-count": ("--d", "--n", "--b"),
+    "phi": {"--n": INT, "--d": INT},
+    "phi-c": {"--n": INT, "--c": INT, "--d": INT},
+    "delta": {"--m": INT, "--n": INT, "--r": INT},
+    "pataki": {"--m": INT, "--n": INT, "--r": INT},
+    "phi-poly": {"--d": INT},
+    "delta-poly": {"--m": INT, "--s": INT},
+    "hypersurface-count": {"--d": INT, "--n": INT, "--b": INT},
+    "flag-integral": {"--n": INT, "--b": INT_LIST},
 }
 
 
@@ -28,11 +33,11 @@ def argvs(draw):
     command = draw(st.sampled_from(sorted(FLAGS)))
     flags = FLAGS[command]
     # at most one flag left out, so most argv reach the handler
-    omitted = draw(st.sets(st.sampled_from(flags), max_size=1))
+    omitted = draw(st.sets(st.sampled_from(sorted(flags)), max_size=1))
     argv = [command]
-    for flag in flags:
+    for flag, values in flags.items():
         if flag not in omitted:
-            argv += [flag, str(draw(st.integers(-2, 10)))]
+            argv += [flag, draw(values)]
     if draw(st.booleans()):
         argv += ["--format", "json"]
     return argv

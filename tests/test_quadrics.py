@@ -235,6 +235,90 @@ def test_vanishing_lemma_against_full_expansion():
             assert expanded == 0
 
 
+def _stratum_dimension(n, a, J):
+    """Dimension of the smallest space the L_j, j in J, factor through on
+    the stratum cut out by the S_i with a_i = 1: that of the partial flag
+    variety of the cut points J needs, plus dim CQ_m for every block (of
+    size m) that holds a j of J inside it."""
+    cuts = [0] + [i for i in range(1, n) if a[i - 1]] + [n]
+    flag, blocks = set(), set()
+    for j in J:
+        if a[j - 1]:
+            flag.add(j)
+        else:
+            t = max(t for t, c in enumerate(cuts) if c < j)
+            blocks.add(t)
+            flag.update(c for c in cuts[t : t + 2] if 0 < c < n)
+    points = sorted(flag | {0, n})
+    gaps = [q - p for p, q in zip(points, points[1:])]
+    flag_dim = sum(x * y for x, y in combinations(gaps, 2))
+    return flag_dim + sum(cq_dimension(cuts[t + 1] - cuts[t]) for t in blocks)
+
+
+def test_stratum_bound_equals_subset_check():
+    # the longest-path bound against sum_J b_j > D_J over every subset J,
+    # on every a in {0,1}^(n-1) and every top-degree b, n <= 6
+    checked = 0
+    for n in range(2, 7):
+        for a in product((0, 1), repeat=n - 1):
+            # bit j - 1 of a mask marks j in J
+            dims = [
+                _stratum_dimension(n, a, [j for j in range(1, n) if mask >> (j - 1) & 1])
+                for mask in range(2 ** (n - 1))
+            ]
+            for b in _compositions(cq_dimension(n) - sum(a), n - 1):
+                sums = [0]
+                for x in b:
+                    sums += [y + x for y in sums]
+                brute = any(y > dim for y, dim in zip(sums, dims))
+                assert quadrics._exceeds_stratum(n, a, b) == brute, (n, a, b)
+                checked += 1
+    assert checked == 2 + 20 + 326 + 7392 + 216002
+
+
+def test_stratum_bound_fires_exactly_on_zeros(monkeypatch):
+    # on every a in {0,1}^(n-1) and top-degree b with n <= 5, the bound
+    # holds exactly where the reduction without it gives 0
+    cases = [
+        (n, a, b)
+        for n in range(2, 6)
+        for a in product((0, 1), repeat=n - 1)
+        for b in _compositions(cq_dimension(n) - sum(a), n - 1)
+    ]
+    fires = [quadrics._exceeds_stratum(n, a, b) for n, a, b in cases]
+    quadrics.clear_caches()
+    monkeypatch.setattr(quadrics, "_exceeds_stratum", lambda n, a, b: False)
+    try:
+        for (n, a, b), fired in zip(cases, fires):
+            assert fired == (integrate_monomial(n, a, b) == 0), (n, a, b)
+    finally:
+        quadrics.clear_caches()
+    assert sum(fires) and not all(fires)
+
+
+def test_stratum_bound_keeps_surplus_values(monkeypatch):
+    # S^a L^b with a in {0,1,2}^(n-1), n <= 5, with and without the bound
+    cases = [
+        (n, a, b)
+        for n in range(2, 6)
+        for a in product((0, 1, 2), repeat=n - 1)
+        if sum(a) <= cq_dimension(n)
+        for b in _compositions(cq_dimension(n) - sum(a), n - 1)
+    ]
+    quadrics.clear_caches()
+    pruned = [integrate_monomial(*case) for case in cases]
+    quadrics.clear_caches()
+    monkeypatch.setattr(quadrics, "_exceeds_stratum", lambda n, a, b: False)
+    try:
+        assert [integrate_monomial(*case) for case in cases] == pruned
+    finally:
+        quadrics.clear_caches()
+
+
+def test_cq7_product_within_reach():
+    assert integrate_monomial(7, (0,) * 6, (4, 4, 4, 4, 4, 7)) == 55087374336
+
+
 def test_duality_all_pairs_small_n():
     for n in range(2, 5):
         dim = cq_dimension(n)

@@ -79,6 +79,14 @@ def test_flag_integral_degree_mismatch():
         flag_integral(3, [4, -1])
 
 
+def test_flag_integral_shape_errors():
+    for n in (-1, 0, 1):
+        with pytest.raises(DomainError, match=rf"^Fl_n needs n >= 2, got n={n}$"):
+            flag_integral(n, [])
+    with pytest.raises(DomainError, match=r"^need 2 exponents for Fl_3, got \(3,\)$"):
+        flag_integral(3, [3])
+
+
 def test_flag_integral_order_invariance():
     rng = random.Random(3)
     cases = [(3, (1, 2)), (3, (2, 1)), (4, (2, 2, 2)), (4, (3, 2, 1)), (5, (4, 3, 2, 1))]
