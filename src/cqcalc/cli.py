@@ -207,9 +207,14 @@ def _cmd_toric_integral(args):
     terms = {}
     for item in spec:
         try:
-            rays = frozenset(_ray_index(i) for i in item["rays"])
+            indices = [_ray_index(i) for i in item["rays"]]
         except (TypeError, ValueError):
             raise DomainError(f"ray indices must be integers, got {item['rays']!r}")
+        rays = frozenset(indices)
+        if len(rays) < len(indices):
+            # A term is a squarefree monomial: x1^2 * x12 is not x1 * x12.
+            repeated = next(i for i in indices if indices.count(i) > 1)
+            raise DomainError(f"ray {repeated + 1} repeated in one term {item['rays']!r}")
         coeff = _parse_fraction(str(item.get("coeff", 1)))
         terms[rays] = terms.get(rays, Fraction(0)) + coeff
     degree = len(next(iter(terms), frozenset()))

@@ -10,12 +10,22 @@ integral rows of inverted cone matrices.
 Which route answers:
 
 * cone membership: each ray carries a bit mask of the maximal cones that
-  contain it, and a ray set spans a cone iff the AND of its masks is
-  nonzero (memoized per ray set); the lowest set bit is the first maximal
-  cone containing the set;
-* dual functionals: one `solve_linear_system` per (maximal cone, ray),
-  cached with its row, the nonzero coefficients -<m, u_sigma> over the
-  rays outside the cone, which is all a product needs;
+  contain it, and a ray set, itself an int bit mask of ray indices, spans
+  a cone iff the AND of its rays' masks is nonzero (memoized per ray
+  mask); the lowest set bit is the first maximal cone containing the set;
+* products: a class keeps its terms keyed by ray mask, and
+  `multiply_by_divisor` runs on `int` coefficients, falling back to
+  `Fraction` only when a class or divisor coefficient is not an integer;
+* dual functionals, cached per (maximal cone, ray) with their row, the
+  nonzero coefficients -<m, u_sigma> over the rays outside the cone, which
+  is all a product needs:
+  - on the permutohedral fan, in closed form: the cone of the chain
+    S_1 < ... < S_n of a permutation p pairs its ray S_k with
+    m = e_{p_k} - e_{p_{k+1}}, whose row over the rays G is
+    [p_{k+1} in G] - [p_k in G]; that row depends only on the pair
+    (p_k, p_{k+1}) and is built once per pair;
+  - on any other fan (a `--fan` file), one `solve_linear_system` on the
+    cone's rays;
 * smoothness: one `determinant` per maximal cone.
 
 Both solve and determinant are `exactmath`'s single fraction-free
@@ -32,11 +42,25 @@ from itertools import combinations
 from .exactmath import DomainError, determinant, solve_linear_system
 
 
+def _bits(mask):
+    """Indices of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _exact(coeff):
+    """A coefficient as an `int` when it is integral, else a `Fraction`."""
+    coeff = Fraction(coeff)
+    return coeff.numerator if coeff.denominator == 1 else coeff
+
+
 class Fan:
     """Rational fan, assumed (and checkable) smooth and complete."""
 
     __slots__ = ("rank", "rays", "maximal_cones", "_ray_cones", "_cone_lookup",
-                 "_dual_cache", "ray_labels", "subsets")
+                 "_dual_cache", "_pair_rows", "ray_labels", "subsets")
 
     def __init__(self, rank, rays, maximal_cones, ray_labels=None):
         self.subsets = None
@@ -53,34 +77,44 @@ class Fan:
                 raise DomainError("maximal cone must have rank many rays")
             cones.append(cone)
         self.maximal_cones = tuple(sorted(cones, key=sorted))
-        # Ray index -> bit mask of the maximal cones containing the ray.  A
-        # dict, so a ray index outside the fan reads as no cone at all.
-        self._ray_cones = dict.fromkeys(range(len(self.rays)), 0)
+        # Ray index -> bit mask of the maximal cones containing the ray.
+        self._ray_cones = [0] * len(self.rays)
         for bit, cone in enumerate(self.maximal_cones):
             for i in cone:
                 self._ray_cones[i] |= 1 << bit
-        # Ray set -> mask of the maximal cones containing it (0: no cone).
+        # Ray mask -> mask of the maximal cones containing it (0: no cone).
         self._cone_lookup = {}
         # (maximal cone index, ray) -> (dual functional, its nonzero row).
         self._dual_cache = {}
+        # Permutohedral fans: (p_k, p_{k+1}) -> dual row over every ray.
+        self._pair_rows = {}
         self.ray_labels = tuple(ray_labels) if ray_labels else tuple(
             f"x{i+1}" for i in range(len(self.rays))
         )
 
-    def _cones_containing(self, ray_set):
-        key = frozenset(ray_set)
-        mask = self._cone_lookup.get(key)
-        if mask is None:
-            mask = (1 << len(self.maximal_cones)) - 1
-            ray_cones = self._ray_cones
-            for i in key:
-                mask &= ray_cones.get(i, 0)
-            self._cone_lookup[key] = mask
+    def _ray_mask(self, ray_set):
+        """Bit mask of a ray set, or None when an index lies outside the fan
+        (such a set spans no cone)."""
+        mask = 0
+        for i in ray_set:
+            if not 0 <= i < len(self.rays):
+                return None
+            mask |= 1 << i
         return mask
+
+    def _cones_containing(self, ray_mask):
+        cones = self._cone_lookup.get(ray_mask)
+        if cones is None:
+            cones = (1 << len(self.maximal_cones)) - 1
+            for i in _bits(ray_mask):
+                cones &= self._ray_cones[i]
+            self._cone_lookup[ray_mask] = cones
+        return cones
 
     def spans_cone(self, ray_set):
         """True iff the rays span a cone of the fan (a face of a maximal cone)."""
-        return self._cones_containing(ray_set) != 0
+        mask = self._ray_mask(ray_set)
+        return mask is not None and self._cones_containing(mask) != 0
 
     def check_smooth(self):
         """Every maximal cone's rays must form a basis of the lattice."""
@@ -109,16 +143,29 @@ class Fan:
     def _dual(self, cone_subset, ray_index):
         """The dual functional m of `dual_functional` and its row: the pairs
         (sigma, -<m, u_sigma>) over the rays sigma outside that maximal cone
-        where the value is nonzero (inside it, m vanishes off `ray_index`)."""
-        mask = self._cones_containing(cone_subset)
-        if not mask:
+        where the value is nonzero (inside it, m vanishes off `ray_index`).
+        The subset is a ray set or its int ray mask."""
+        if not isinstance(cone_subset, int):
+            cone_subset = self._ray_mask(cone_subset)
+        cones = 0 if cone_subset is None else self._cones_containing(cone_subset)
+        if not cones:
             raise DomainError("subset spans no cone")
-        parent = (mask & -mask).bit_length() - 1
+        parent = (cones & -cones).bit_length() - 1
         key = (parent, ray_index)
         cached = self._dual_cache.get(key)
-        if cached is not None:
-            return cached
-        cone = self.maximal_cones[parent]
+        if cached is None:
+            cone = self.maximal_cones[parent]
+            if self.subsets is not None and ray_index in cone:
+                m, row = self._chain_dual(cone, ray_index)
+            else:
+                m, row = self._solved_dual(cone, ray_index)
+            row = tuple((sigma, c) for sigma, c in row if sigma not in cone)
+            cached = self._dual_cache[key] = (m, row)
+        return cached
+
+    def _solved_dual(self, cone, ray_index):
+        """m from the cone's rays by one linear solve, and its row over
+        every ray."""
         order = sorted(cone)
         matrix = [list(self.rays[i]) for i in order]
         rhs = [1 if i == ray_index else 0 for i in order]
@@ -126,55 +173,87 @@ class Fan:
         if any(c.denominator != 1 for c in m):
             raise DomainError("fan not smooth")
         m = tuple(c.numerator for c in m)
-        row = []
-        for sigma, u in enumerate(self.rays):
-            if sigma not in cone:
-                c = -sum(a * b for a, b in zip(m, u))
-                if c:
-                    row.append((sigma, c))
-        cached = self._dual_cache[key] = (m, tuple(row))
-        return cached
+        row = ((sigma, -sum(a * b for a, b in zip(m, u)))
+               for sigma, u in enumerate(self.rays))
+        return m, [(sigma, c) for sigma, c in row if c]
+
+    def _chain_dual(self, cone, ray_index):
+        """m = e_a - e_b on the permutohedral fan, where the cone's chain of
+        subsets gains a at the ray and b just after it, and its row over
+        every ray: [b in G] - [a in G]."""
+        subsets = self.subsets
+        chain = {len(subsets[i]): subsets[i] for i in cone}
+        here = subsets[ray_index]
+        below = chain.get(len(here) - 1, frozenset())
+        above = chain.get(len(here) + 1, frozenset(range(1, self.rank + 2)))
+        (a,) = here - below
+        (b,) = above - here
+        row = self._pair_rows.get((a, b))
+        if row is None:
+            row = self._pair_rows[a, b] = [
+                (sigma, (b in s) - (a in s))
+                for sigma, s in enumerate(subsets) if (a in s) != (b in s)
+            ]
+        return tuple((i == a) - (i == b) for i in range(1, self.rank + 1)), row
 
 
 class ToricClass:
-    """Homogeneous Chow class in the squarefree cone-monomial spanning set."""
+    """Homogeneous Chow class in the squarefree cone-monomial spanning set.
 
-    __slots__ = ("fan", "degree", "terms")
+    `terms` maps each monomial, a frozenset of ray indices, to its
+    coefficient; the class itself keys them by ray mask."""
+
+    __slots__ = ("fan", "degree", "_terms")
 
     def __init__(self, fan, degree, terms=None):
-        self.fan = fan
-        self.degree = degree
-        self.terms = {}
+        masks = {}
         for key, coeff in (terms or {}).items():
             key = frozenset(key)
-            coeff = Fraction(coeff)
+            coeff = _exact(coeff)
             if coeff == 0:
                 continue
             if len(key) != degree:
                 raise DomainError("term of wrong degree")
-            if not fan.spans_cone(key):
+            mask = fan._ray_mask(key)
+            if mask is None or not fan._cones_containing(mask):
                 raise DomainError("term does not span a cone")
-            self.terms[key] = self.terms.get(key, Fraction(0)) + coeff
-        self.terms = {k: c for k, c in self.terms.items() if c != 0}
+            masks[mask] = masks.get(mask, 0) + coeff
+        self.fan = fan
+        self.degree = degree
+        self._terms = {k: c for k, c in masks.items() if c != 0}
+
+    @classmethod
+    def _from_masks(cls, fan, degree, masks):
+        """Class of ray-mask terms already known to span cones."""
+        self = cls.__new__(cls)
+        self.fan = fan
+        self.degree = degree
+        self._terms = {k: c for k, c in masks.items() if c != 0}
+        return self
 
     @classmethod
     def unit(cls, fan):
         return cls(fan, 0, {frozenset(): 1})
+
+    @property
+    def terms(self):
+        return {frozenset(_bits(k)): c for k, c in self._terms.items()}
 
     def __eq__(self, other):
         return (
             isinstance(other, ToricClass)
             and self.fan is other.fan
             and self.degree == other.degree
-            and self.terms == other.terms
+            and self._terms == other._terms
         )
 
     def __repr__(self):
         labels = self.fan.ray_labels
+        terms = self.terms
         parts = []
-        for key in sorted(self.terms, key=sorted):
+        for key in sorted(terms, key=sorted):
             mono = "*".join(labels[i] for i in sorted(key)) or "1"
-            parts.append(f"{self.terms[key]}*{mono}")
+            parts.append(f"{terms[key]}*{mono}")
         return f"ToricClass({' + '.join(parts) or '0'})"
 
 
@@ -184,24 +263,30 @@ def multiply_by_divisor(cls, divisor):
     Distinct rays append to the monomial (or kill it when no cone contains
     the union); a repeated ray is rewritten through the dual functional of
     a containing maximal cone, turning it into a signed sum over the other
-    rays of the fan.
+    rays of the fan.  A ray outside the fan spans no cone, so it adds
+    nothing.
     """
     fan = cls.fan
+    nrays = len(fan.rays)
+    divisor = [(ray, _exact(d)) for ray, d in divisor.items() if 0 <= ray < nrays]
+    lookup, ray_cones, dual = fan._cone_lookup, fan._ray_cones, fan._dual
     out = {}
-    divisor = [(ray, Fraction(d)) for ray, d in divisor.items()]
-    for key, coeff in cls.terms.items():
+    for key, coeff in cls._terms.items():
+        # The cones containing key | sigma are those of key that hold sigma.
+        key_cones = fan._cones_containing(key)
         for ray, d in divisor:
             scale = coeff * d
             if not scale:
                 continue
-            if scale.denominator == 1:
-                scale = scale.numerator  # integer arithmetic in the loop below
-            row = fan._dual(key, ray)[1] if ray in key else ((ray, 1),)
+            row = dual(key, ray)[1] if key >> ray & 1 else ((ray, 1),)
             for sigma, c in row:
-                new = key | {sigma}
-                if fan.spans_cone(new):
+                new = key | 1 << sigma
+                cones = lookup.get(new)
+                if cones is None:
+                    cones = lookup[new] = key_cones & ray_cones[sigma]
+                if cones:
                     out[new] = out.get(new, 0) + scale * c
-    return ToricClass(fan, cls.degree + 1, out)
+    return ToricClass._from_masks(fan, cls.degree + 1, out)
 
 
 def toric_integral(cls):
@@ -209,7 +294,7 @@ def toric_integral(cls):
     integrates to 1, so a top-degree class integrates to its coefficient sum."""
     if cls.degree != cls.fan.rank:
         raise DomainError("degree mismatch")
-    return sum(cls.terms.values(), Fraction(0))
+    return sum(cls._terms.values(), Fraction(0))
 
 
 def _subset_label(subset):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -88,6 +89,28 @@ def test_chow_group_dimensions():
         assert len(hist) == cq_dimension(n) + 1
         assert sum(hist) == len(enumerate_two_permutations(n))
         assert hist == hist[::-1]
+
+
+def test_chow_dp_matches_enumeration():
+    # the subset DP against the weights of the enumerated 2-permutations
+    for n in range(2, 8):
+        hist = [0] * (cq_dimension(n) + 1)
+        for sigma in enumerate_two_permutations(n):
+            hist[weight(sigma)] += 1
+        assert chow_group_dimensions(n) == hist, n
+
+
+@pytest.mark.parametrize("n, count", [(8, 385_560), (9, 4_740_120)])
+def test_chow_dp_past_enumeration(n, count):
+    # Poincare duality, and the torus fixed points: n!(n-j)!/(2^j j!(n-2j)!)
+    # 2-permutations with j pairs
+    f = math.factorial
+    assert count == sum(f(n) * f(n - j) // (2**j * f(j) * f(n - 2 * j))
+                        for j in range(n // 2 + 1))
+    hist = chow_group_dimensions(n)
+    assert len(hist) == cq_dimension(n) + 1
+    assert sum(hist) == count
+    assert hist == hist[::-1]
 
 
 def test_weight_equals_free_variable_count():

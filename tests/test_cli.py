@@ -195,6 +195,15 @@ def test_toric_class_ray_indices_are_not_truncated(capsys, rays):
                                   "--class", cls), "ray indices must be integers")
 
 
+@pytest.mark.parametrize("rays, named", [([1, 1, 4], "ray 1"), ([4, 1, 4], "ray 4")])
+def test_toric_class_ray_repeated_in_a_term(capsys, rays, named):
+    # x1^2 * x12 has degree 3; folding it into the set {x1, x12} would
+    # integrate x1 * x12 = 1 instead
+    cls = json.dumps([{"rays": rays}])
+    _assert_domain_error(capsys, ("toric", "integral", "--permutohedral", "2",
+                                  "--class", cls), f"{named} repeated")
+
+
 @pytest.mark.parametrize("text", [
     "a b c\n",
     "2 2 1\n1 0\na b\n1 2\n",

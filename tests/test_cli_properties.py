@@ -1,6 +1,7 @@
 """Property test of the CLI exit-code contract: on any argv drawn for the
-closed-form subcommands and `flag-integral`, `main` returns 0, 2 or 3 or
-argparse exits with 2, and no other exception escapes."""
+closed-form subcommands, `flag-integral`, the Chow-group histogram and
+`toric mu-generic`, `main` returns 0, 2 or 3 or argparse exits with 2, and
+no other exception escapes."""
 
 import contextlib
 import io
@@ -14,8 +15,10 @@ INT = st.integers(-2, 10).map(str)
 # A flag integral with n <= 10 takes under 0.1 s, so no drawn list can hang.
 INT_LIST = st.lists(st.integers(-2, 10), max_size=10).map(lambda xs: ",".join(map(str, xs)))
 
+# Command words -> {flag: value strategy, or None for a bare flag}.
 # `product` is left out: it runs the general reduction, which has no work
-# budget yet, so a drawn argv can run for a long time.
+# budget yet, so a drawn argv can run for a long time.  The histogram with
+# n <= 8 and mu_generic with n <= 4 each answer in under 0.1 s.
 FLAGS = {
     "phi": {"--n": INT, "--d": INT},
     "phi-c": {"--n": INT, "--c": INT, "--d": INT},
@@ -25,6 +28,8 @@ FLAGS = {
     "delta-poly": {"--m": INT, "--s": INT},
     "hypersurface-count": {"--d": INT, "--n": INT, "--b": INT},
     "flag-integral": {"--n": INT, "--b": INT_LIST},
+    "cells": {"--histogram": None, "--n": st.integers(-2, 8).map(str)},
+    "toric mu-generic": {"--n": st.integers(-2, 4).map(str)},
 }
 
 
@@ -34,10 +39,10 @@ def argvs(draw):
     flags = FLAGS[command]
     # at most one flag left out, so most argv reach the handler
     omitted = draw(st.sets(st.sampled_from(sorted(flags)), max_size=1))
-    argv = [command]
+    argv = command.split()
     for flag, values in flags.items():
         if flag not in omitted:
-            argv += [flag, draw(values)]
+            argv += [flag] if values is None else [flag, draw(values)]
     if draw(st.booleans()):
         argv += ["--format", "json"]
     return argv

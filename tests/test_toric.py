@@ -128,7 +128,7 @@ def test_mu_generic_values():
 
 
 def test_mu_generic_matches_uniform_matroid():
-    for n in range(1, 5):
+    for n in range(1, 6):
         mu = mu_generic(n)
         red = reduced_characteristic_coefficients(uniform_matroid(n + 1, n + 1))
         assert tuple(mu) == red
@@ -207,7 +207,7 @@ def test_spans_cone_matches_linear_scan():
 
 
 def test_dual_rows_match_linear_solve():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         fan = permutohedral_fan(n)
         for cone in fan.maximal_cones:
             order = sorted(cone)
@@ -224,6 +224,43 @@ def test_dual_rows_match_linear_solve():
                 face = frozenset({ray})
                 parent = next(c for c in fan.maximal_cones if face <= c)
                 assert fan.dual_functional(face, ray) == fan.dual_functional(parent, ray)
+
+
+def test_closed_form_dual_rows_match_parsed_fan():
+    # a fan read back from its file has no subset labels, so its dual rows
+    # come from the linear solve; the labelled fan uses the closed form
+    for n in (1, 2, 3, 4, 5):
+        fan = permutohedral_fan(n)
+        parsed = parse_fan(format_fan(fan))
+        assert parsed.subsets is None and parsed.maximal_cones == fan.maximal_cones
+        for cone in fan.maximal_cones:
+            for ray in cone:
+                assert fan._dual(cone, ray) == parsed._dual(cone, ray), (n, cone, ray)
+        assert len(fan._pair_rows) == n * (n + 1) and not parsed._pair_rows
+
+
+def test_multiply_with_fraction_coefficients():
+    # integer coefficients stay int; a fractional one falls back to Fraction
+    fan = _hexagon()
+    h1, h2 = permutohedral_divisors(fan)
+    whole = multiply_by_divisor(multiply_by_divisor(ToricClass.unit(fan), h1), h2)
+    assert all(type(c) is int for c in whole.terms.values())
+    half = {ray: Fraction(1, 2) for ray in h2}
+    halved = multiply_by_divisor(multiply_by_divisor(ToricClass.unit(fan), h1), half)
+    assert {k: 2 * c for k, c in halved.terms.items()} == whole.terms
+    assert toric_integral(halved) == Fraction(1) and toric_integral(whole) == 2
+    point = ToricClass(fan, 2, {k: Fraction(3, 4) for k in whole.terms})
+    assert toric_integral(point) == Fraction(3, 2)
+
+
+def test_divisor_rays_outside_fan_add_nothing():
+    fan = _hexagon()
+    idx = _ray_index(fan)
+    x1 = ToricClass(fan, 1, {frozenset({idx["x1"]}): 1})
+    for ray in (-1, len(fan.rays), 99):
+        assert multiply_by_divisor(x1, {ray: 1}).terms == {}
+    point = multiply_by_divisor(x1, {idx["x12"]: 1, -1: 5})
+    assert point.terms == {frozenset({idx["x1"], idx["x12"]}): 1}
 
 
 def test_bareiss_det_matches_fraction_elimination():
