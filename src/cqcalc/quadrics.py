@@ -30,9 +30,11 @@ pullback of O(1) along Q -> Lambda^j Q (De Concini-Procesi, Thaddeus), and
 on Z_A a chosen set of them factors through a bundle over a partial flag
 variety whose fibres are smaller CQ_m (see `_exceeds_stratum`).  A product
 of pulled-back classes of degree above the dimension of the space they
-come from is 0, so such a node is answered 0 before it recurses or reaches
-the flag layer.  The surplus nodes (some a_i >= 2) carry signed terms and
-are rewritten as before.
+come from is 0, so such a node is answered 0 before it recurses.  The
+flag leaves (every a_i = 1) skip the bound: they go straight to the flag
+layer, where a vanishing integral is a miss in its volume table and costs
+less than the bound.  The surplus nodes (some a_i >= 2) carry signed terms
+and are rewritten as before.
 
 For n = 2 the space is the plane of binary quadrics and the same relations
 hold with S_1 = 2 L_1, so no special casing is needed.
@@ -268,13 +270,14 @@ def _reduce(n, a, b, pick):
             if 0 <= j <= n - 2:
                 new_b = b[:j] + (b[j] + 1,) + b[j + 1 :]
                 value += coeff * _reduce(n, new_a, new_b, pick)
+    elif min(a) == 1:
+        # Fully degenerate locus: a flag variety, with each L_i restricting
+        # to twice a Schubert divisor.  A zero here is a volume-table miss,
+        # cheaper than the stratum bound.
+        value = 2 ** sum(b) * flag_integral(n, b)
     elif _exceeds_stratum(n, a, b):
         # L^b has more degree than the data it factors through on Z_A.
         value = 0
-    elif min(a) == 1:
-        # Fully degenerate locus: a flag variety, with each L_i restricting
-        # to twice a Schubert divisor.
-        value = 2 ** sum(b) * flag_integral(n, b)
     else:
         zero_slots = [i for i in range(n - 1) if a[i] == 0]
         candidates = [i for i in zero_slots if b[i] > 0]

@@ -9,7 +9,15 @@ class of the transposition s_k) have two routes:
 * by default the Weyl volume polynomial: the integral of prod D_k^{e_k}
   is (prod e_k!) times the coefficient of t^e in
   prod_{i<j} (t_i + ... + t_{j-1}) / (j - i), the leading term of the Weyl
-  dimension formula;
+  dimension formula.  The coefficients are read from a volume table, built
+  once per memo lifetime and kept in `_integral_memo` under its variable
+  count: every coefficient of the product of the interval factors on at
+  most `TABLE_VARIABLES` = 5 variables (Fl_6), keyed by the exponent
+  vector packed as an integer.  Up to Fl_6 an integral is one lookup; on a
+  larger Fl_n the first n - 6 variables are dealt out by a forward count
+  and the last five read the table (see `_weyl_integral`).  The cap keeps
+  the table small: on 6, 7 or 8 variables it would hold 7,958, 142,396 or
+  3,104,160 coefficients and take up to seconds and hundreds of MB to build;
 * with an explicit multiplication `order`, Monk's rule applied factor by
   factor, extracting the coefficient of the longest permutation.  This is
   the independent oracle the tests compare the default against.
@@ -18,14 +26,19 @@ Both normalize the class of a point to 1, and both return exact ints.
 
 All functions are pure; the only shared state is the memo tables, which
 are safe under CPython's atomic dict operations and deterministic
-regardless of call interleaving.
+regardless of call interleaving (two callers that build the same volume
+table build equal ones).
 """
 
 from math import factorial, prod
 
 from .exactmath import DomainError, binomial
 
+# variable count -> volume table of the interval factors on that many variables
 _integral_memo = {}
+
+# largest variable count a volume table is built for
+TABLE_VARIABLES = 5
 
 
 def validate_permutation(w):
@@ -155,8 +168,8 @@ def monk_multiply_combination(i, comb):
 
 
 def clear_caches():
-    """Drop the flag-integral memo and the Monk cover cache; only useful
-    for timing measurements."""
+    """Drop the volume tables and the Monk cover cache; only useful for
+    timing measurements."""
     _integral_memo.clear()
     _cover_cache.clear()
 
@@ -167,9 +180,10 @@ def flag_integral(n, b, order=None):
     b lists the exponents of the generators attached to slots 1..n-1; slot s
     multiplies by the class of the transposition s_{n-s}.  The exponents must
     sum to C(n,2), the dimension of Fl_n.  By default the value comes from
-    the Weyl volume polynomial and is memoized; an explicit `order` (a
-    sequence of slots, each slot s repeated b_s times) computes it with
-    Monk's rule in that order instead, which the tests use as the oracle.
+    the Weyl volume polynomial through the memoized volume table; an
+    explicit `order` (a sequence of slots, each slot s repeated b_s times)
+    computes it with Monk's rule in that order instead, which the tests use
+    as the oracle.
     """
     b = tuple(b)
     if n < 2:
@@ -182,11 +196,31 @@ def flag_integral(n, b, order=None):
         raise DomainError("degree mismatch")
     if order is not None:
         return _monk_integral(n, b, order)
-    key = (n, b)
-    cached = _integral_memo.get(key)
-    if cached is None:
-        cached = _integral_memo[key] = _weyl_integral(n, b)
-    return cached
+    return _weyl_integral(n, b)
+
+
+def _volume_table(size):
+    """Every coefficient of prod (t_lo + ... + t_hi) over the intervals
+    lo < hi of 0..size-1, as {packed exponent vector: coefficient}.
+
+    An exponent vector e packs to sum e_m * base^m with base C(size,2) + 1;
+    no exponent exceeds the degree C(size,2), so no two vectors share a key.
+    Built once per memo lifetime for each size <= TABLE_VARIABLES.
+    """
+    table = _integral_memo.get(size)
+    if table is None:
+        base = binomial(size, 2) + 1
+        table = {0: 1}
+        for lo in range(size - 1):
+            for hi in range(lo + 1, size):
+                steps = [base**m for m in range(lo, hi + 1)]
+                out = {}
+                for key, ways in table.items():
+                    for step in steps:
+                        out[key + step] = out.get(key + step, 0) + ways
+                table = out
+        _integral_memo[size] = table
+    return table
 
 
 def _weyl_integral(n, b):
@@ -194,22 +228,34 @@ def _weyl_integral(n, b):
     where slot s carries t_{n-s}, so e is b reversed.
 
     The n-1 single-variable factors t_i take one from every exponent (and
-    kill the integral when some exponent is 0).  The rest are distributed by
-    counting how many ways each interval factor t_lo+...+t_hi can hand its
-    degree to one of its variables; a state is the tuple of exponents still
-    needed, and `cover[m]` counts the factors not yet dealt that contain
-    t_m, so a variable needing that many must take the current factor.
+    kill the integral when some exponent is 0), leaving the exponents
+    `need`.  The interval factors whose first variable lies among the last
+    `tail` = min(n-1, TABLE_VARIABLES) are the interval factors on those
+    variables alone, so their share of the coefficient is one lookup in the
+    volume table on `tail` variables; an exponent vector the table lacks
+    has coefficient 0.  Up to Fl_6 there is nothing else.
+
+    On a larger Fl_n the factors of the first n-1-tail rows (interval
+    factors t_lo+...+t_hi with lo < n-1-tail) are dealt forward first, by
+    counting how many ways each can hand its degree to one of its
+    variables; a state is the tuple of exponents still needed, and
+    `cover[m]` counts the factors not yet dealt that contain t_m, so a
+    variable needing that many must take the current factor.  That keeps
+    every state within its cover, so once those rows are dealt the first
+    variables need nothing and each state's tail is a table key.
     """
     if 0 in b:
         return 0
     need = tuple(x - 1 for x in reversed(b))
     size = n - 1
+    tail = min(size, TABLE_VARIABLES)
+    head = size - tail
     # intervals [lo, hi] of 0..size-1 containing m, less the singleton
     cover = [(m + 1) * (size - m) - 1 for m in range(size)]
     if any(x > c for x, c in zip(need, cover)):
         return 0
     states = {need: 1}
-    for lo in range(size - 1):
+    for lo in range(head):
         for hi in range(lo + 1, size):
             span = range(lo, hi + 1)
             out = {}
@@ -223,7 +269,15 @@ def _weyl_integral(n, b):
             for m in span:
                 cover[m] -= 1
             states = out
-    numerator = states.get((0,) * size, 0) * prod(factorial(x) for x in b)
+    table = _volume_table(tail)
+    base = binomial(tail, 2) + 1
+    count = 0
+    for state, ways in states.items():
+        key = 0
+        for x in reversed(state[head:]):
+            key = key * base + x
+        count += ways * table.get(key, 0)
+    numerator = count * prod(factorial(x) for x in b)
     denominator = prod(factorial(k) for k in range(1, n))
     value, rest = divmod(numerator, denominator)
     if rest:

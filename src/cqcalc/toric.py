@@ -353,14 +353,18 @@ def permutohedral_divisors(fan):
 
 def mu_generic(n):
     """Bidegrees of the coordinate-inversion graph over projective n-space:
-    mu_i integrates H1^(n-i) H2^i over the permutohedral fan."""
+    mu_i integrates H1^(n-i) H2^i over the permutohedral fan.
+
+    The powers H1^k are built once for k = 0..n, then each is multiplied
+    by H2: n + n(n+1)/2 multiplies in all."""
     fan = permutohedral_fan(n)
     h1, h2 = permutohedral_divisors(fan)
+    powers = [ToricClass.unit(fan)]
+    for _ in range(n):
+        powers.append(multiply_by_divisor(powers[-1], h1))
     out = []
     for i in range(n + 1):
-        cls = ToricClass.unit(fan)
-        for _ in range(n - i):
-            cls = multiply_by_divisor(cls, h1)
+        cls = powers[n - i]
         for _ in range(i):
             cls = multiply_by_divisor(cls, h2)
         value = toric_integral(cls)

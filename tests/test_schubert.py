@@ -166,3 +166,41 @@ def test_clear_caches_empties_both_tables():
     assert schubert._integral_memo and schubert._cover_cache
     quadrics.clear_caches()
     assert not schubert._integral_memo and not schubert._cover_cache
+
+
+def _positive_composition(rng, total, parts):
+    # cut 1..total-1 at parts-1 distinct points: every part is at least 1
+    cuts = sorted(rng.sample(range(1, total), parts - 1))
+    return tuple(y - x for x, y in zip([0] + cuts, cuts + [total]))
+
+
+def test_weyl_volume_equals_monk_past_the_table():
+    # from n = 7 on the first rows are dealt forward before the volume
+    # table answers the last five variables; no exponent is 0, so no
+    # vector is answered before that path runs
+    rng = random.Random(11)
+    nonzero = 0
+    for n, count in ((7, 100), (8, 10)):
+        for _ in range(count):
+            b = _positive_composition(rng, binomial(n, 2), n - 1)
+            schedule = [slot for slot, c in enumerate(b, start=1) for _ in range(c)]
+            value = flag_integral(n, b)
+            assert value == flag_integral(n, b, order=schedule), (n, b)
+            nonzero += value != 0
+    # 53 of the n = 7 vectors and 4 of the n = 8 ones are nonzero
+    assert nonzero == 57
+
+
+def test_volume_table_sizes():
+    schubert.clear_caches()
+    sizes = [len(schubert._volume_table(k)) for k in range(1, schubert.TABLE_VARIABLES + 1)]
+    assert sizes == [1, 2, 8, 55, 567]
+    assert sorted(schubert._integral_memo) == [1, 2, 3, 4, 5]
+
+
+def test_flag_integral_past_the_table_cap():
+    # values of the forward count run over every row with no table; a
+    # lost cap would build the table on 8 or 9 variables instead
+    assert flag_integral(9, (4, 4, 4, 4, 5, 5, 5, 5)) == 288625400
+    assert flag_integral(10, (5,) * 9) == 1915103977500
+    assert max(schubert._integral_memo) == schubert.TABLE_VARIABLES
