@@ -16,22 +16,24 @@ tests.
 Points of CQ_3 are pairs (A, B) of symmetric matrices with A.B scalar;
 `verify_cell_point` reconstructs the pair from cell coordinates and
 checks that relation exactly.  The companion of Y is written down in
-closed form; X is unitriangular, so adj(X) = X^-1, whose columns come
-from `exactmath.solve_linear_system`, and `verify_generic_point` takes its
-determinant from `exactmath.determinant`.
+closed form.  X, Y and the companion are evaluated and each scaled to an
+integer matrix by the lcm of its own denominators; adj(X)^t is the
+cofactor matrix of the scaled X, so both halves of the pair are built in
+`int`, and scaling A and B by positive constants keeps A.B = lambda I true
+or false.  `cell_matrices` divides once by the known denominators, and
+`verify_generic_point` takes its determinant from `exactmath.determinant`.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 
 from .exactmath import (
     DomainError,
     MultivariatePolynomial,
     binomial,
     determinant,
-    solve_linear_system,
 )
 
 _ONE = MultivariatePolynomial.constant(1)
@@ -286,11 +288,59 @@ def _transpose(a):
     return tuple(tuple(row[c] for row in a) for c in range(len(a)))
 
 
-def _numeric(matrix, values):
+def _integer_matrix(matrix, values):
+    """A symbolic matrix at the values, scaled to integers by the lcm of
+    its entries' denominators, and that lcm."""
+    entries = [[entry.evaluate(values) for entry in row] for row in matrix]
+    scale = lcm(*(x.denominator for row in entries for x in row))
     return tuple(
-        tuple(entry.evaluate(values) if not entry.is_zero() else Fraction(0) for entry in row)
-        for row in matrix
+        tuple(x.numerator * (scale // x.denominator) for x in row) for row in entries
+    ), scale
+
+
+def _cofactors(m):
+    """Cofactor matrix adj(m)^t of a 3 x 3 matrix."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return (
+        (e * i - f * h, f * g - d * i, d * h - e * g),
+        (c * h - b * i, a * i - c * g, b * g - a * h),
+        (b * f - c * e, c * d - a * f, a * e - b * d),
     )
+
+
+def _checked_values(sigma, values):
+    """The cell's parametrization and the assignment as Fractions, after
+    checking that it gives every free variable a nonzero value."""
+    param = cell_parametrization(sigma)
+    expected = set(param.free_variables())
+    if expected != set(values):
+        raise DomainError(
+            f"free variables are {sorted(expected)}, got {sorted(values)}"
+        )
+    vals = {name: Fraction(v) for name, v in values.items()}
+    if any(v == 0 for v in vals.values()):
+        raise DomainError("assignments must be nonzero")
+    return param, vals
+
+
+def _integer_pair(sigma, values):
+    """The pair (A, B) of `cell_matrices` as integer matrices and their
+    positive denominators: A = a / a_den and B = b / b_den.
+
+    X, Y and the companion are each scaled by the lcm of their own
+    denominators (sx, sy and sc), and adj(X)^t is taken as the cofactors
+    of sx X, which are sx^2 adj(X)^t; every product after that is in
+    `int`."""
+    if sigma.n != 3:
+        raise DomainError("companion matrix construction only specified for n=3")
+    param, vals = _checked_values(sigma, values)
+    x, sx = _integer_matrix(param.X, vals)
+    y, sy = _integer_matrix(param.Y, vals)
+    companion, sc = _integer_matrix(param.companion, vals)
+    r = _cofactors(x)
+    a = _mat_mul_numeric(_mat_mul_numeric(x, y), _transpose(x))
+    b = _mat_mul_numeric(_mat_mul_numeric(r, companion), _transpose(r))
+    return a, sx * sx * sy, b, sx**4 * sc
 
 
 def cell_matrices(sigma, values):
@@ -298,32 +348,13 @@ def cell_matrices(sigma, values):
 
     A = X Y X^t and B = adj(X)^t Ytilde adj(X), where Ytilde is the cleared
     adjugate companion of Y; the pair construction is only pinned down for
-    n = 3."""
-    if sigma.n != 3:
-        raise DomainError("companion matrix construction only specified for n=3")
-    param = cell_parametrization(sigma)
-    expected = set(param.free_variables())
-    given = set(values)
-    if expected != given:
-        raise DomainError(
-            f"free variables are {sorted(expected)}, got {sorted(given)}"
-        )
-    vals = {name: Fraction(v) for name, v in values.items()}
-    if any(v == 0 for v in vals.values()):
-        raise DomainError("assignments must be nonzero")
-
-    x_num = _numeric(param.X, vals)
-    y_num = _numeric(param.Y, vals)
-    companion_num = _numeric(param.companion, vals)
-    # X is unitriangular, so adj(X) = X^-1; row k of r = adj(X)^t solves
-    # X r_k = e_k.
-    r = tuple(
-        tuple(solve_linear_system(x_num, [int(i == k) for i in range(3)]))
-        for k in range(3)
+    n = 3.  Both are built in integers and divided by their denominators
+    once."""
+    a, a_den, b, b_den = _integer_pair(sigma, values)
+    return (
+        tuple(tuple(Fraction(v, a_den) for v in row) for row in a),
+        tuple(tuple(Fraction(v, b_den) for v in row) for row in b),
     )
-    a = _mat_mul_numeric(_mat_mul_numeric(x_num, y_num), _transpose(x_num))
-    b = _mat_mul_numeric(_mat_mul_numeric(r, companion_num), _transpose(r))
-    return a, b
 
 
 def _mat_mul_numeric(a, b):
@@ -336,14 +367,15 @@ def _mat_mul_numeric(a, b):
 
 def verify_cell_point(sigma, values):
     """Check that the reconstructed pair (A, B) satisfies A.B = lambda I
-    for some scalar lambda (possibly zero)."""
-    a, b = cell_matrices(sigma, values)
+    for some scalar lambda (possibly zero).  The check runs on the integer
+    matrices a and b, positive integer multiples of A and B."""
+    a, _, b, _ = _integer_pair(sigma, values)
     product = _mat_mul_numeric(a, b)
     lam = product[0][0]
     size = len(product)
     for r in range(size):
         for c in range(size):
-            expected = lam if r == c else Fraction(0)
+            expected = lam if r == c else 0
             if product[r][c] != expected:
                 return False
     return True
@@ -354,16 +386,8 @@ def verify_generic_point(sigma, values):
     primary matrix A is invertible, the full tuple of its compounds lies on
     the inversion graph by construction.  Returns True exactly in that case;
     False is inconclusive (the point may sit in the boundary)."""
-    param = cell_parametrization(sigma)
-    expected = set(param.free_variables())
-    if expected != set(values):
-        raise DomainError(
-            f"free variables are {sorted(expected)}, got {sorted(values)}"
-        )
-    vals = {name: Fraction(v) for name, v in values.items()}
-    if any(v == 0 for v in vals.values()):
-        raise DomainError("assignments must be nonzero")
-    x_num = _numeric(param.X, vals)
-    y_num = _numeric(param.Y, vals)
-    a = _mat_mul_numeric(_mat_mul_numeric(x_num, y_num), _transpose(x_num))
+    param, vals = _checked_values(sigma, values)
+    x, _ = _integer_matrix(param.X, vals)
+    y, _ = _integer_matrix(param.Y, vals)
+    a = _mat_mul_numeric(_mat_mul_numeric(x, y), _transpose(x))
     return determinant(a) != 0

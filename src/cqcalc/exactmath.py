@@ -67,6 +67,15 @@ class FrozenRecord:
         return type(self), self._values()
 
 
+def _integer_line(line, source):
+    """The whitespace-separated integers of one line of an input file, or
+    a DomainError that names the line."""
+    try:
+        return [int(t) for t in line.split()]
+    except ValueError:
+        raise DomainError(f"{source} line {line.strip()!r} is not all integers")
+
+
 def binomial(n, k):
     """Binomial coefficient C(n, k) with C(n, k) = 0 for k < 0, k > n or n < 0."""
     if k < 0 or n < 0 or k > n:

@@ -23,6 +23,7 @@ from itertools import combinations
 from .exactmath import (
     DomainError,
     UnivariatePolynomial,
+    _integer_line,
     _integer_rows,
     binomial,
     matrix_rank,
@@ -59,16 +60,22 @@ def complete_graph(k):
 def parse_graph(text):
     """Parse the plain graph format: a "v e" header line, then e lines "i j"
     with 1-based vertex indices (loops written "i i")."""
-    tokens = text.split()
+    tokens = [
+        t for line in text.splitlines() for t in _integer_line(line, "graph file")
+    ]
     if len(tokens) < 2:
         raise DomainError("graph file needs a 'v e' header")
-    v, e = int(tokens[0]), int(tokens[1])
-    if len(tokens) != 2 + 2 * e:
-        raise DomainError(f"expected {e} edges, found {(len(tokens) - 2) // 2}")
-    edges = [
-        (int(tokens[2 + 2 * k]), int(tokens[3 + 2 * k])) for k in range(e)
-    ]
-    return Graph(v, edges)
+    v, e = tokens[0], tokens[1]
+    if v < 0 or e < 0:
+        raise DomainError(f"graph header 'v e' must be nonnegative, got '{v} {e}'")
+    ends = tokens[2:]
+    if len(ends) % 2:
+        raise DomainError(
+            f"graph file ends in a dangling token {ends[-1]}: an edge is two vertices"
+        )
+    if len(ends) != 2 * e:
+        raise DomainError(f"expected {e} edges, found {len(ends) // 2}")
+    return Graph(v, zip(ends[::2], ends[1::2]))
 
 
 class Matroid:
@@ -95,25 +102,25 @@ class Matroid:
 
 
 def matroid_from_graph(g):
-    """Graphic matroid: the rank of an edge set is (#touched vertices) minus
-    (#components of the subgraph it spans)."""
+    """Graphic matroid: the rank of an edge set is the size of a spanning
+    forest of the subgraph it spans, counted as the unions that succeed in
+    a union-find over the vertices (a list indexed 0..v, path halving)."""
     edges = g.edges
+    roots = list(range(g.vertex_count + 1))
 
     def rank(subset):
-        chosen = [edges[i] for i in subset]
-        touched = {v for e in chosen for v in e}
-        parent = {v: v for v in touched}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in chosen:
-            parent[find(u)] = find(v)
-        components = len({find(v) for v in touched})
-        return len(touched) - components
+        parent = roots[:]
+        forest = 0
+        for i in subset:
+            u, v = edges[i]
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[u] = v
+                forest += 1
+        return forest
 
     return Matroid(len(edges), rank, ("graphic", g))
 

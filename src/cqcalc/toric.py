@@ -26,7 +26,10 @@ Which route answers:
     (p_k, p_{k+1}) and is built once per pair;
   - on any other fan (a `--fan` file), one `solve_linear_system` on the
     cone's rays;
-* smoothness: one `determinant` per maximal cone.
+* smoothness: on the permutohedral fan, each maximal cone is certified by
+  its closed-form dual rows, an integer inverse of the cone's rays, which
+  forces determinant +-1; on any other fan, and for a cone that fails the
+  certificate, one `determinant` per maximal cone decides.
 
 Both solve and determinant are `exactmath`'s single fraction-free
 (Bareiss) integer elimination.
@@ -39,7 +42,7 @@ and one maximal cone per maximal chain of subsets.
 from fractions import Fraction
 from itertools import combinations
 
-from .exactmath import DomainError, determinant, solve_linear_system
+from .exactmath import DomainError, _integer_line, determinant, solve_linear_system
 
 
 def _bits(mask):
@@ -117,8 +120,25 @@ class Fan:
         return mask is not None and self._cones_containing(mask) != 0
 
     def check_smooth(self):
-        """Every maximal cone's rays must form a basis of the lattice."""
+        """Every maximal cone's rays must form a basis of the lattice.
+
+        On a fan with subset labels, a cone whose rays form a maximal chain
+        S_1 < ... < S_n with permutation p is certified by the integer rows
+        m_k = e_{p_k} - e_{p_{k+1}}: if <m_k, u_j> = delta_kj for its rays
+        u_1..u_n, an integer matrix inverts the cone's, so its determinant
+        is +-1.  Any other cone is decided by its determinant."""
+        # Each ray padded to coordinates 0..n+1 (the quotient drops n+1),
+        # so <e_a - e_b, u> = u[a] - u[b] for a, b in 1..n+1.
+        padded = [(0, *ray, 0) for ray in self.rays] if self.subsets else None
+        units = [[int(j == k) for k in range(self.rank)] for j in range(self.rank)]
         for cone in self.maximal_cones:
+            chain = self._chain(cone) if padded else None
+            if chain:
+                perm, order = chain
+                rows = list(zip(perm, perm[1:]))  # (a, b) for m_k = e_a - e_b
+                if all([u[a] - u[b] for a, b in rows] == unit
+                       for u, unit in zip([padded[i] for i in order], units)):
+                    continue
             if abs(determinant([self.rays[i] for i in sorted(cone)])) != 1:
                 raise DomainError("fan not smooth")
         return True
@@ -177,22 +197,37 @@ class Fan:
                for sigma, u in enumerate(self.rays))
         return m, [(sigma, c) for sigma, c in row if c]
 
+    def _chain(self, cone):
+        """The permutation p_1..p_{n+1} of {1..n+1} and the cone's rays in
+        chain order, when the rays' subsets form a maximal chain
+        S_1 < ... < S_n with S_k = {p_1..p_k}; None for any other cone."""
+        subsets = self.subsets
+        by_size = {len(subsets[i]): i for i in cone}
+        order = [by_size.get(k) for k in range(1, self.rank + 1)]
+        if None in order:
+            return None
+        universe = frozenset(range(1, self.rank + 2))
+        perm, below = [], frozenset()
+        for here in [subsets[i] for i in order] + [universe]:
+            if not below < here:
+                return None
+            (added,) = here - below
+            perm.append(added)
+            below = here
+        return perm, order
+
     def _chain_dual(self, cone, ray_index):
         """m = e_a - e_b on the permutohedral fan, where the cone's chain of
         subsets gains a at the ray and b just after it, and its row over
         every ray: [b in G] - [a in G]."""
-        subsets = self.subsets
-        chain = {len(subsets[i]): subsets[i] for i in cone}
-        here = subsets[ray_index]
-        below = chain.get(len(here) - 1, frozenset())
-        above = chain.get(len(here) + 1, frozenset(range(1, self.rank + 2)))
-        (a,) = here - below
-        (b,) = above - here
+        perm, order = self._chain(cone)
+        k = order.index(ray_index)
+        a, b = perm[k], perm[k + 1]
         row = self._pair_rows.get((a, b))
         if row is None:
             row = self._pair_rows[a, b] = [
                 (sigma, (b in s) - (a in s))
-                for sigma, s in enumerate(subsets) if (a in s) != (b in s)
+                for sigma, s in enumerate(self.subsets) if (a in s) != (b in s)
             ]
         return tuple((i == a) - (i == b) for i in range(1, self.rank + 1)), row
 
@@ -395,10 +430,7 @@ def parse_fan(text):
 
 
 def _integers(line):
-    try:
-        return [int(t) for t in line.split()]
-    except ValueError:
-        raise DomainError(f"fan file line {line.strip()!r} is not all integers")
+    return _integer_line(line, "fan file")
 
 
 def format_fan(fan):

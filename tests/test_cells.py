@@ -311,6 +311,54 @@ def test_verify_cell_point_all_cells_random():
             assert verify_cell_point(sigma, values), (str(sigma), values)
 
 
+def _fraction_pair(sigma, values):
+    """Reference pair (A, B) and A.B from the cell's matrices evaluated in
+    Fractions, with X^-1 by forward substitution (X is unitriangular)."""
+    param = cell_parametrization(sigma)
+
+    def numeric(matrix):
+        return [[entry.evaluate(values) for entry in row] for row in matrix]
+
+    def mul(a, b):
+        return [[sum((a[r][k] * b[k][c] for k in range(3)), Fraction(0))
+                  for c in range(3)] for r in range(3)]
+
+    def transpose(a):
+        return [list(col) for col in zip(*a)]
+
+    x, y, companion = numeric(param.X), numeric(param.Y), numeric(param.companion)
+    inverse = [[Fraction(int(r == c)) for c in range(3)] for r in range(3)]
+    for r in range(3):
+        for k in range(r):
+            inverse[r] = [v - x[r][k] * w for v, w in zip(inverse[r], inverse[k])]
+    r = transpose(inverse)
+    a = mul(mul(x, y), transpose(x))
+    b = mul(mul(r, companion), transpose(r))
+    return a, b, mul(a, b)
+
+
+def test_integer_pair_matches_fraction_reference():
+    rng = random.Random(20261019)
+    for sigma in enumerate_two_permutations(3):
+        param = cell_parametrization(sigma)
+        for _ in range(8):
+            values = {
+                name: Fraction(rng.randint(1, 40), rng.randint(1, 12))
+                * rng.choice([1, -1])
+                for name in param.free_variables()
+            }
+            a, b, product = _fraction_pair(sigma, values)
+            got = cell_matrices(sigma, values)
+            assert got == (tuple(map(tuple, a)), tuple(map(tuple, b))), (str(sigma), values)
+            assert all(type(v) is Fraction for half in got for row in half for v in row)
+            lam = product[0][0]
+            scalar = all(product[i][j] == (lam if i == j else 0)
+                         for i in range(3) for j in range(3))
+            assert verify_cell_point(sigma, values) is scalar is True
+            if str(sigma) == "3|2|1":
+                assert lam == 0
+
+
 def test_verify_cell_point_input_validation():
     sigma = TwoPermutation.parse("2|13")
     with pytest.raises(DomainError, match="free variables"):

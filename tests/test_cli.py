@@ -216,6 +216,20 @@ def test_fan_file_tokens_must_be_integers(tmp_path, capsys, text):
                          "is not all integers")
 
 
+@pytest.mark.parametrize("command", ["charpoly", "reduced", "chromatic"])
+@pytest.mark.parametrize("text, needle", [
+    ("a b\n", "is not all integers"),
+    ("3 1\n1 2.5\n", "is not all integers"),
+    ("3 -1\n", "must be nonnegative"),
+    ("3 1\n1 2 3\n", "dangling token"),
+])
+def test_graph_file_tokens_must_be_integers(tmp_path, capsys, command, text, needle):
+    graph_file = tmp_path / "graph.txt"
+    graph_file.write_text(text)
+    _assert_domain_error(capsys, ("matroid", command, "--graph", str(graph_file)),
+                         needle)
+
+
 @pytest.mark.parametrize("text, needle", [
     # rays (1,0), (0,1), (-1,-1) with two of the three cones
     ("2 3 2\n1 0\n0 1\n-1 -1\n1 2\n2 3\n", "fan not complete"),

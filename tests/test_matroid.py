@@ -310,6 +310,26 @@ def test_component_count_matches_bfs():
         assert g.component_count() == _bfs_components(g), g.edges
 
 
+def test_graphic_rank_matches_definition():
+    # rank(S) = |V(S)| - components(S) over the subgraph the edges of S span
+    graphs = list(_graph_corpus().values())
+    rng = random.Random(12)
+    for _ in range(40):
+        v = rng.randint(1, 6)
+        edges = [(rng.randint(1, v), rng.randint(1, v)) for _ in range(rng.randint(0, 9))]
+        graphs.append(Graph(v, edges))
+    for g in graphs:
+        m = matroid_from_graph(g)
+        for size in range(len(g.edges) + 1):
+            for subset in combinations(range(len(g.edges)), size):
+                chosen = [g.edges[i] for i in subset]
+                touched = sorted({v for e in chosen for v in e})
+                label = {v: k for k, v in enumerate(touched, start=1)}
+                spanned = Graph(len(touched), [(label[u], label[v]) for u, v in chosen])
+                expected = len(touched) - _bfs_components(spanned)
+                assert m.rank(subset) == expected, (g.edges, subset)
+
+
 def test_euler_characteristic_complement():
     assert euler_characteristic_complement((1, 1, 1)) == 1
     assert euler_characteristic_complement((1, 1, 1, 1)) == 0
@@ -324,3 +344,18 @@ def test_parse_graph():
         parse_graph("2 1\n1 3\n")
     with pytest.raises(DomainError):
         parse_graph("2 2\n1 2\n")
+    assert parse_graph("3 2\n1 2 2\n3\n").edges == ((1, 2), (2, 3))
+    assert parse_graph("0 0\n").edges == ()
+
+
+@pytest.mark.parametrize("text, needle", [
+    ("a b\n", "line 'a b' is not all integers"),
+    ("3 1\n1 2.5\n", "line '1 2.5' is not all integers"),
+    ("3 -1\n", "must be nonnegative"),
+    ("-2 0\n", "must be nonnegative"),
+    ("3 1\n1 2 3\n", "dangling token 3"),
+    ("3\n", "needs a 'v e' header"),
+])
+def test_parse_graph_rejects_malformed_files(text, needle):
+    with pytest.raises(DomainError, match=needle):
+        parse_graph(text)

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from cqcalc import toric
 from cqcalc.exactmath import DomainError, determinant, is_log_concave, solve_linear_system
 from cqcalc.matroid import reduced_characteristic_coefficients, uniform_matroid
 from cqcalc.toric import (
@@ -184,6 +185,64 @@ def test_non_smooth_fan_detected():
     fan = Fan(2, [(1, 0), (1, 2)], [(0, 1)])
     with pytest.raises(DomainError, match="not smooth"):
         fan.check_smooth()
+
+
+def _count_determinants(monkeypatch):
+    """Count the determinants `check_smooth` takes from here on."""
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return determinant(matrix)
+
+    monkeypatch.setattr(toric, "determinant", counted)
+    return calls
+
+
+def _relabelled(fan, rays=None, subsets=None):
+    """The fan's cones over other rays or other subset labels."""
+    out = Fan(fan.rank, rays or fan.rays, fan.maximal_cones)
+    out.subsets = subsets or fan.subsets
+    return out
+
+
+def test_permutohedral_cones_certified_without_determinants(monkeypatch):
+    calls = _count_determinants(monkeypatch)
+    for n in range(1, 6):
+        fan = permutohedral_fan(n)
+        assert fan.check_smooth()
+        # the certificate fills neither the cone nor the dual-row cache
+        assert not fan._cone_lookup and not fan._dual_cache
+        for cone in fan.maximal_cones:
+            assert abs(_det_by_fractions([list(fan.rays[i]) for i in sorted(cone)])) == 1
+    assert calls == []
+
+
+def test_subset_labelled_fan_with_doubled_ray_not_smooth(monkeypatch):
+    calls = _count_determinants(monkeypatch)
+    fan = permutohedral_fan(3)
+    rays = list(fan.rays)
+    rays[4] = tuple(2 * x for x in rays[4])
+    with pytest.raises(DomainError, match="fan not smooth"):
+        _relabelled(fan, rays=rays).check_smooth()
+    # only a cone holding the doubled ray goes to the determinant
+    assert calls and all(rays[4] in matrix for matrix in calls)
+
+
+def test_mismatched_subset_labels_fall_back_to_determinant(monkeypatch):
+    calls = _count_determinants(monkeypatch)
+    fan = permutohedral_fan(3)
+    # a unimodular shear keeps every cone a lattice basis, but moves the rays
+    # off the quotient vectors of their subsets
+    sheared = [(x + y, y, z) for x, y, z in fan.rays]
+    assert _relabelled(fan, rays=sheared).check_smooth()
+    assert len(calls) == len(fan.maximal_cones)
+    # shuffled labels: most cones are no longer chains of subsets
+    calls.clear()
+    subsets = list(fan.subsets)
+    random.Random(3).shuffle(subsets)
+    assert _relabelled(fan, subsets=subsets).check_smooth()
+    assert calls
 
 
 def test_incomplete_fan_detected():
