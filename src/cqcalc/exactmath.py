@@ -117,14 +117,6 @@ class UnivariatePolynomial:
             coeffs.pop()
         self.coefficients = tuple(coeffs)
 
-    @classmethod
-    def constant(cls, c):
-        return cls([c])
-
-    @classmethod
-    def variable(cls):
-        return cls([0, 1])
-
     def degree(self):
         """Degree, or -1 for the zero polynomial."""
         return len(self.coefficients) - 1
@@ -346,9 +338,6 @@ class MultivariatePolynomial:
                 prod *= _frac(values[var]) ** exp
             total += prod
         return total
-
-    def variables(self):
-        return sorted({v for key in self.terms for v, _ in key})
 
     def __repr__(self):
         return f"MultivariatePolynomial({self.terms!r})"

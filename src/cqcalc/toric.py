@@ -19,17 +19,17 @@ Which route answers:
 * dual functionals, cached per (maximal cone, ray) with their row, the
   nonzero coefficients -<m, u_sigma> over the rays outside the cone, which
   is all a product needs:
-  - on the permutohedral fan, in closed form: the cone of the chain
-    S_1 < ... < S_n of a permutation p pairs its ray S_k with
-    m = e_{p_k} - e_{p_{k+1}}, whose row over the rays G is
-    [p_{k+1} in G] - [p_k in G]; that row depends only on the pair
-    (p_k, p_{k+1}) and is built once per pair;
-  - on any other fan (a `--fan` file), one `solve_linear_system` on the
-    cone's rays;
-* smoothness: on the permutohedral fan, each maximal cone is certified by
-  its closed-form dual rows, an integer inverse of the cone's rays, which
-  forces determinant +-1; on any other fan, and for a cone that fails the
-  certificate, one `determinant` per maximal cone decides.
+  - in closed form when the fan gives the ray a pair (a, b) in that cone
+    and m = e_a - e_b has <m, u_j> = [j is the ray] on the cone's rays:
+    the row over every ray u is u[b] - u[a], built once per pair.  The
+    permutohedral fan gives the ray S_k of the cone of the chain
+    S_1 < ... < S_n of a permutation p the pair (p_k, p_{k+1});
+  - otherwise (every cone of a `--fan` file), one `solve_linear_system`
+    on the cone's rays;
+* smoothness: a cone whose pairs all pass that test is certified, because
+  an integer matrix inverts its rays, which forces determinant +-1; any
+  other cone (every `--fan` cone, and one whose pairs fail) is decided by
+  one `determinant`.
 
 Both solve and determinant are `exactmath`'s single fraction-free
 (Bareiss) integer elimination.
@@ -40,7 +40,7 @@ and one maximal cone per maximal chain of subsets.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .exactmath import DomainError, _integer_line, determinant, solve_linear_system
 
@@ -63,23 +63,46 @@ class Fan:
     """Rational fan, assumed (and checkable) smooth and complete."""
 
     __slots__ = ("rank", "rays", "maximal_cones", "_ray_cones", "_cone_lookup",
-                 "_dual_cache", "_pair_rows", "ray_labels", "subsets")
+                 "_dual_cache", "_pair_rows", "_cone_pairs", "_padded",
+                 "ray_labels", "subsets")
 
-    def __init__(self, rank, rays, maximal_cones, ray_labels=None):
-        self.subsets = None
+    def __init__(self, rank, rays, maximal_cones, ray_labels=None, pairs=None,
+                 subsets=None):
+        """`pairs`, if given, has one entry per maximal cone, in order: None,
+        or a map from each ray of the cone to (a, b), the ray's dual
+        functional e_a - e_b there.  a and b are coordinates 1..rank+1 of the
+        quotient of Z^(rank+1) by the all-ones vector, with the last one
+        dropped.  A pair is used only when its cone's map is keyed by exactly
+        the cone's rays and the pair passes `_is_dual`; otherwise the solve
+        and the determinant decide.  `subsets` labels the rays for
+        `permutohedral_divisors`."""
+        self.subsets = subsets
         self.rank = rank
         self.rays = tuple(tuple(int(x) for x in r) for r in rays)
         if any(len(r) != rank for r in self.rays):
             raise DomainError("ray of wrong dimension")
+        # Each ray padded to coordinates 0..rank+1 (the quotient drops
+        # rank+1), so <e_a - e_b, u> = u[a] - u[b] for a, b in 1..rank+1.
+        self._padded = [(0, *ray, 0) for ray in self.rays]
+        maximal_cones = list(maximal_cones)
+        pairs = [None] * len(maximal_cones) if pairs is None else pairs
         cones = []
-        for cone in maximal_cones:
+        for cone, given in zip(maximal_cones, pairs, strict=True):
             cone = frozenset(cone)
-            if any(not 0 <= i < len(self.rays) for i in cone):
+            order = sorted(cone)
+            if order and (order[0] < 0 or order[-1] >= len(self.rays)):
                 raise DomainError("cone references unknown ray")
             if len(cone) != rank:
                 raise DomainError("maximal cone must have rank many rays")
-            cones.append(cone)
-        self.maximal_cones = tuple(sorted(cones, key=sorted))
+            if given is not None and given.keys() == cone:
+                # One flat tuple per cone: a, b of each ray, lowest ray first.
+                given = sum(map(given.__getitem__, order), ())
+            else:
+                given = None
+            cones.append((order, cone, given))
+        cones.sort(key=lambda entry: entry[0])
+        self.maximal_cones = tuple(cone for _, cone, _ in cones)
+        self._cone_pairs = tuple(given for _, _, given in cones)
         # Ray index -> bit mask of the maximal cones containing the ray.
         self._ray_cones = [0] * len(self.rays)
         for bit, cone in enumerate(self.maximal_cones):
@@ -89,7 +112,7 @@ class Fan:
         self._cone_lookup = {}
         # (maximal cone index, ray) -> (dual functional, its nonzero row).
         self._dual_cache = {}
-        # Permutohedral fans: (p_k, p_{k+1}) -> dual row over every ray.
+        # (a, b) -> row of e_a - e_b over every ray.
         self._pair_rows = {}
         self.ray_labels = tuple(ray_labels) if ray_labels else tuple(
             f"x{i+1}" for i in range(len(self.rays))
@@ -122,36 +145,28 @@ class Fan:
     def check_smooth(self):
         """Every maximal cone's rays must form a basis of the lattice.
 
-        On a fan with subset labels, a cone whose rays form a maximal chain
-        S_1 < ... < S_n with permutation p is certified by the integer rows
-        m_k = e_{p_k} - e_{p_{k+1}}: if <m_k, u_j> = delta_kj for its rays
-        u_1..u_n, an integer matrix inverts the cone's, so its determinant
-        is +-1.  Any other cone is decided by its determinant."""
-        # Each ray padded to coordinates 0..n+1 (the quotient drops n+1),
-        # so <e_a - e_b, u> = u[a] - u[b] for a, b in 1..n+1.
-        padded = [(0, *ray, 0) for ray in self.rays] if self.subsets else None
-        units = [[int(j == k) for k in range(self.rank)] for j in range(self.rank)]
-        for cone in self.maximal_cones:
-            chain = self._chain(cone) if padded else None
-            if chain:
-                perm, order = chain
-                rows = list(zip(perm, perm[1:]))  # (a, b) for m_k = e_a - e_b
-                if all([u[a] - u[b] for a, b in rows] == unit
-                       for u, unit in zip([padded[i] for i in order], units)):
-                    continue
-            if abs(determinant([self.rays[i] for i in sorted(cone)])) != 1:
+        A cone with pairs is certified by them: if m_k = e_a - e_b, the pair
+        of its ray u_k, has <m_k, u_j> = delta_kj over its rays u_j, an
+        integer matrix inverts the cone's, so its determinant is +-1.  Any
+        other cone is decided by its determinant."""
+        for cone, pairs in zip(self.maximal_cones, self._cone_pairs):
+            order = sorted(cone)
+            if pairs and all(self._is_dual(cone, ray, a, b)
+                             for ray, a, b in zip(order, pairs[::2], pairs[1::2])):
+                continue
+            if abs(determinant([self.rays[i] for i in order])) != 1:
                 raise DomainError("fan not smooth")
         return True
 
     def check_complete(self):
-        """Desk-scale completeness: every facet of a maximal cone must be
-        shared by exactly two maximal cones."""
+        """Desk-scale completeness: there must be a maximal cone, and every
+        facet of a maximal cone must be shared by exactly two of them."""
         facet_count = {}
         for cone in self.maximal_cones:
             for facet in combinations(sorted(cone), self.rank - 1):
                 key = frozenset(facet)
                 facet_count[key] = facet_count.get(key, 0) + 1
-        if any(count != 2 for count in facet_count.values()):
+        if not self.maximal_cones or any(count != 2 for count in facet_count.values()):
             raise DomainError("fan not complete")
         return True
 
@@ -174,14 +189,34 @@ class Fan:
         key = (parent, ray_index)
         cached = self._dual_cache.get(key)
         if cached is None:
-            cone = self.maximal_cones[parent]
-            if self.subsets is not None and ray_index in cone:
-                m, row = self._chain_dual(cone, ray_index)
+            cone, pairs = self.maximal_cones[parent], self._cone_pairs[parent]
+            pair = ()
+            if pairs and ray_index in cone:
+                k = 2 * sorted(cone).index(ray_index)
+                pair = pairs[k:k + 2]
+            if pair and self._is_dual(cone, ray_index, *pair):
+                m, row = self._pair_dual(*pair)
             else:
                 m, row = self._solved_dual(cone, ray_index)
             row = tuple((sigma, c) for sigma, c in row if sigma not in cone)
             cached = self._dual_cache[key] = (m, row)
         return cached
+
+    def _is_dual(self, cone, ray, a, b):
+        """True iff m = e_a - e_b has <m, u_j> = [j == ray] over the cone's
+        rays u_j."""
+        padded = self._padded
+        return all(padded[j][a] - padded[j][b] == (j == ray) for j in cone)
+
+    def _pair_dual(self, a, b):
+        """m = e_a - e_b and its row over every ray, u[b] - u[a], built once
+        per pair."""
+        row = self._pair_rows.get((a, b))
+        if row is None:
+            row = self._pair_rows[a, b] = [
+                (sigma, u[b] - u[a]) for sigma, u in enumerate(self._padded) if u[a] != u[b]
+            ]
+        return tuple((i == a) - (i == b) for i in range(1, self.rank + 1)), row
 
     def _solved_dual(self, cone, ray_index):
         """m from the cone's rays by one linear solve, and its row over
@@ -196,40 +231,6 @@ class Fan:
         row = ((sigma, -sum(a * b for a, b in zip(m, u)))
                for sigma, u in enumerate(self.rays))
         return m, [(sigma, c) for sigma, c in row if c]
-
-    def _chain(self, cone):
-        """The permutation p_1..p_{n+1} of {1..n+1} and the cone's rays in
-        chain order, when the rays' subsets form a maximal chain
-        S_1 < ... < S_n with S_k = {p_1..p_k}; None for any other cone."""
-        subsets = self.subsets
-        by_size = {len(subsets[i]): i for i in cone}
-        order = [by_size.get(k) for k in range(1, self.rank + 1)]
-        if None in order:
-            return None
-        universe = frozenset(range(1, self.rank + 2))
-        perm, below = [], frozenset()
-        for here in [subsets[i] for i in order] + [universe]:
-            if not below < here:
-                return None
-            (added,) = here - below
-            perm.append(added)
-            below = here
-        return perm, order
-
-    def _chain_dual(self, cone, ray_index):
-        """m = e_a - e_b on the permutohedral fan, where the cone's chain of
-        subsets gains a at the ray and b just after it, and its row over
-        every ray: [b in G] - [a in G]."""
-        perm, order = self._chain(cone)
-        k = order.index(ray_index)
-        a, b = perm[k], perm[k + 1]
-        row = self._pair_rows.get((a, b))
-        if row is None:
-            row = self._pair_rows[a, b] = [
-                (sigma, (b in s) - (a in s))
-                for sigma, s in enumerate(self.subsets) if (a in s) != (b in s)
-            ]
-        return tuple((i == a) - (i == b) for i in range(1, self.rank + 1)), row
 
 
 class ToricClass:
@@ -341,9 +342,13 @@ def permutohedral_fan(n):
 
     Lives in the quotient of Z^(n+1) by the all-ones vector, coordinatized
     by dropping the last entry.  Rays are indexed by proper nonempty
-    subsets S of {1..n+1}; maximal cones by maximal chains of subsets,
-    equivalently permutations.
+    subsets S of {1..n+1}; maximal cones by maximal chains of subsets
+    S_1 < ... < S_n, S_k = {p_1..p_k} for a permutation p, in which S_k's
+    dual functional is e_(p_k) - e_(p_(k+1)).
     """
+    # (n+1)! maximal cones: n = 7 peaks near 154 MB, n = 8 near 1.3 GB.
+    if n > 8:
+        raise DomainError(f"permutohedral fan needs n <= 8, got n = {n}")
     if n < 1:
         raise DomainError("need n >= 1")
     universe = list(range(1, n + 2))
@@ -359,16 +364,14 @@ def permutohedral_fan(n):
         return tuple((1 if i in s else 0) - last for i in range(1, n + 1))
 
     rays = [quotient_vector(s) for s in subsets]
-    cones = []
-    from itertools import permutations
-
-    for perm in permutations(universe):
-        chain = [frozenset(perm[: k + 1]) for k in range(n)]
-        cones.append(frozenset(ray_index[s] for s in chain))
+    cones = [[ray_index[frozenset(perm[: k + 1])] for k in range(n)]
+             for perm in permutations(universe)]
+    # One map per cone, made as the constructor reads it, so that the maps
+    # are never all held at once.
+    pairs = (dict(zip(chain, zip(perm, perm[1:])))
+             for chain, perm in zip(cones, permutations(universe)))
     labels = [_subset_label(s) for s in subsets]
-    fan = Fan(n, rays, cones, ray_labels=labels)
-    fan.subsets = subsets
-    return fan
+    return Fan(n, rays, cones, ray_labels=labels, pairs=pairs, subsets=subsets)
 
 
 def permutohedral_divisors(fan):
@@ -419,13 +422,20 @@ def parse_fan(text):
     if len(header) != 3:
         raise DomainError("fan header must be 'rank #rays #cones'")
     rank, nrays, ncones = header
+    if min(header) < 0:
+        raise DomainError(f"fan header 'rank #rays #cones' must be nonnegative, "
+                          f"got '{rank} {nrays} {ncones}'")
     if len(lines) != 1 + nrays + ncones:
         raise DomainError("fan file line count mismatch")
     rays = [tuple(_integers(lines[1 + i])) for i in range(nrays)]
     cones = []
     for i in range(ncones):
-        indices = [t - 1 for t in _integers(lines[1 + nrays + i])]
-        cones.append(frozenset(indices))
+        line = lines[1 + nrays + i]
+        indices = _integers(line)
+        cone = frozenset(t - 1 for t in indices)
+        if len(cone) < len(indices):
+            raise DomainError(f"fan cone '{line.strip()}' repeats a ray")
+        cones.append(cone)
     return Fan(rank, rays, cones)
 
 

@@ -235,6 +235,12 @@ def test_graph_file_tokens_must_be_integers(tmp_path, capsys, command, text, nee
     ("2 3 2\n1 0\n0 1\n-1 -1\n1 2\n2 3\n", "fan not complete"),
     # (2,0), (0,1) span a cone of index 2; there D1.D2 = 1/2
     ("2 4 4\n2 0\n0 1\n-1 0\n0 -1\n1 2\n2 3\n3 4\n4 1\n", "fan not smooth"),
+    # 1 + (-1) + 2 lines: the count matches only if the header is read back
+    ("2 -1 2\n1 2\n", "fan header 'rank #rays #cones' must be nonnegative"),
+    # a repeated index does not make a cone of fewer rays
+    ("2 2 1\n1 0\n0 1\n1 2 2\n", "fan cone '1 2 2' repeats a ray"),
+    # rays but no maximal cone
+    ("2 3 0\n1 0\n0 1\n-1 -1\n", "fan not complete"),
 ])
 def test_toric_integral_checks_fan_file(tmp_path, capsys, text, needle):
     fan_file = tmp_path / "fan.txt"
@@ -242,6 +248,19 @@ def test_toric_integral_checks_fan_file(tmp_path, capsys, text, needle):
     cls = json.dumps([{"rays": [1, 2], "coeff": 1}])
     _assert_domain_error(capsys, ("toric", "integral", "--fan", str(fan_file),
                                   "--class", cls), needle)
+
+
+@pytest.mark.parametrize("n", [9, 10**6])
+@pytest.mark.parametrize("argv", [
+    ("toric", "fan-check", "--permutohedral"),
+    ("toric", "mu-generic", "--n"),
+    ("toric", "integral", "--permutohedral"),
+])
+def test_permutohedral_fan_past_reach_refused(capsys, argv, n):
+    # (n+1)! maximal cones: refused before any is built
+    cls = ("--class", "[]") if argv[1] == "integral" else ()
+    _assert_domain_error(capsys, (*argv, str(n), *cls),
+                         f"permutohedral fan needs n <= 8, got n = {n}")
 
 
 def test_segre_commands(tmp_path, capsys):

@@ -199,17 +199,34 @@ def _count_determinants(monkeypatch):
     return calls
 
 
+def _chain_pairs(subsets, cone):
+    """The pairs of a cone whose rays' subsets form a maximal chain
+    S_1 < ... < S_n with S_k = {p_1..p_k}: S_k pairs with (p_k, p_{k+1}).
+    None for any other cone."""
+    order = sorted(cone, key=lambda i: len(subsets[i]))
+    chain = [frozenset(), *(subsets[i] for i in order), frozenset(range(1, len(cone) + 2))]
+    steps = list(zip(chain, chain[1:]))
+    if not all(below < here and len(here - below) == 1 for below, here in steps):
+        return None
+    perm = [min(here - below) for below, here in steps]
+    return dict(zip(order, zip(perm, perm[1:])))
+
+
 def _relabelled(fan, rays=None, subsets=None):
-    """The fan's cones over other rays or other subset labels."""
-    out = Fan(fan.rank, rays or fan.rays, fan.maximal_cones)
-    out.subsets = subsets or fan.subsets
-    return out
+    """The fan's cones over other rays or other subset labels, with the
+    pairs that the labels' chains give."""
+    subsets = subsets or fan.subsets
+    pairs = [_chain_pairs(subsets, cone) for cone in fan.maximal_cones]
+    return Fan(fan.rank, rays or fan.rays, fan.maximal_cones, pairs=pairs, subsets=subsets)
 
 
 def test_permutohedral_cones_certified_without_determinants(monkeypatch):
     calls = _count_determinants(monkeypatch)
     for n in range(1, 6):
         fan = permutohedral_fan(n)
+        # the pairs the fan is built with are those of its subset chains
+        assert _relabelled(fan)._cone_pairs == fan._cone_pairs
+        assert None not in fan._cone_pairs
         assert fan.check_smooth()
         # the certificate fills neither the cone nor the dual-row cache
         assert not fan._cone_lookup and not fan._dual_cache
@@ -222,11 +239,14 @@ def test_subset_labelled_fan_with_doubled_ray_not_smooth(monkeypatch):
     calls = _count_determinants(monkeypatch)
     fan = permutohedral_fan(3)
     rays = list(fan.rays)
-    rays[4] = tuple(2 * x for x in rays[4])
+    rays[13] = tuple(2 * x for x in rays[13])
+    first = next(k for k, cone in enumerate(fan.maximal_cones) if 13 in cone)
+    assert first == 9
     with pytest.raises(DomainError, match="fan not smooth"):
         _relabelled(fan, rays=rays).check_smooth()
-    # only a cone holding the doubled ray goes to the determinant
-    assert calls and all(rays[4] in matrix for matrix in calls)
+    # the cones before the first one holding the doubled ray are certified,
+    # so the only determinant is that cone's
+    assert calls == [[rays[i] for i in sorted(fan.maximal_cones[first])]]
 
 
 def test_mismatched_subset_labels_fall_back_to_determinant(monkeypatch):
@@ -235,14 +255,27 @@ def test_mismatched_subset_labels_fall_back_to_determinant(monkeypatch):
     # a unimodular shear keeps every cone a lattice basis, but moves the rays
     # off the quotient vectors of their subsets
     sheared = [(x + y, y, z) for x, y, z in fan.rays]
-    assert _relabelled(fan, rays=sheared).check_smooth()
+    sheared_fan = _relabelled(fan, rays=sheared)
+    assert sheared_fan.check_smooth()
     assert len(calls) == len(fan.maximal_cones)
+    # a pair that fails is not used: the dual functionals are the solve's
+    plain = Fan(fan.rank, sheared, fan.maximal_cones)
+    for cone in fan.maximal_cones:
+        for ray in cone:
+            assert sheared_fan._dual(cone, ray) == plain._dual(cone, ray), (cone, ray)
     # shuffled labels: most cones are no longer chains of subsets
     calls.clear()
     subsets = list(fan.subsets)
     random.Random(3).shuffle(subsets)
-    assert _relabelled(fan, subsets=subsets).check_smooth()
-    assert calls
+    shuffled = _relabelled(fan, subsets=subsets)
+    assert shuffled.check_smooth()
+    assert len(calls) >= shuffled._cone_pairs.count(None) > 0
+    # pairs keyed by another cone's rays certify nothing
+    calls.clear()
+    pairs = [_chain_pairs(fan.subsets, cone) for cone in fan.maximal_cones]
+    moved = Fan(fan.rank, fan.rays, fan.maximal_cones, pairs=pairs[1:] + pairs[:1])
+    assert moved.check_smooth() and moved._cone_pairs == (None,) * len(pairs)
+    assert len(calls) == len(fan.maximal_cones)
 
 
 def test_incomplete_fan_detected():
@@ -250,6 +283,9 @@ def test_incomplete_fan_detected():
     fan = Fan(2, [(1, 0), (0, 1)], [(0, 1)])
     with pytest.raises(DomainError, match="not complete"):
         fan.check_complete()
+    # no maximal cone at all
+    with pytest.raises(DomainError, match="not complete"):
+        Fan(2, [(1, 0), (0, 1), (-1, -1)], []).check_complete()
 
 
 def test_spans_cone_matches_linear_scan():
@@ -286,12 +322,13 @@ def test_dual_rows_match_linear_solve():
 
 
 def test_closed_form_dual_rows_match_parsed_fan():
-    # a fan read back from its file has no subset labels, so its dual rows
-    # come from the linear solve; the labelled fan uses the closed form
+    # a fan read back from its file has no pairs, so its dual rows come from
+    # the linear solve; the built fan uses the closed form of its pairs
     for n in (1, 2, 3, 4, 5):
         fan = permutohedral_fan(n)
         parsed = parse_fan(format_fan(fan))
         assert parsed.subsets is None and parsed.maximal_cones == fan.maximal_cones
+        assert set(parsed._cone_pairs) == {None}
         for cone in fan.maximal_cones:
             for ray in cone:
                 assert fan._dual(cone, ray) == parsed._dual(cone, ray), (n, cone, ray)
