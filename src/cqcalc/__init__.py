@@ -12,7 +12,6 @@ the torus-action cell decomposition of the space of complete quadrics.
 from .exactmath import (
     DomainError,
     ExactRational,
-    MultivariatePolynomial,
     UnivariatePolynomial,
     binomial,
     interpolate,

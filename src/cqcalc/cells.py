@@ -5,21 +5,26 @@ into affine cells indexed by 2-permutations: ordered partitions of
 {1..n} into blocks of size one or two.  The dimension of a cell is the
 weight of its 2-permutation, and each cell is parametrized by a
 unitriangular matrix X and a symmetric monomial matrix Y with some
-entries forced to zero.
+entries forced to zero.  So every entry of X, Y and Y's companion is 0, 1,
+one variable or a product of distinct variables, and `CellParametrization`
+stores it as a plain monomial: None for 0, else the sorted tuple of its
+variable names, () for 1.  `format_entry` writes an entry as `0`, `1`,
+`x12` or `y1*y2`.
 
 Which route answers: `chow_group_dimensions` runs a subset DP over the
 blocks and builds no 2-permutation, so n = 10 takes well under a second;
 `enumerate_two_permutations` and `weight` list the cells one by one (for
 `cq cells enumerate` and `cq cells weight`) and are its oracle in the
-tests.
+tests; the listing refuses n > 8.
 
 Points of CQ_3 are pairs (A, B) of symmetric matrices with A.B scalar;
 `verify_cell_point` reconstructs the pair from cell coordinates and
 checks that relation exactly.  The companion of Y is written down in
-closed form.  X, Y and the companion are evaluated and each scaled to an
-integer matrix by the lcm of its own denominators; adj(X)^t is the
-cofactor matrix of the scaled X, so both halves of the pair are built in
-`int`, and scaling A and B by positive constants keeps A.B = lambda I true
+closed form.  X, Y and the companion are evaluated, each entry the
+product of its variables' values, and each is scaled to an integer
+matrix by the lcm of its own denominators; adj(X)^t is the cofactor
+matrix of the scaled X, so both halves of the pair are built in `int`,
+and scaling A and B by positive constants keeps A.B = lambda I true
 or false.  `cell_matrices` divides once by the known denominators, and
 `verify_generic_point` takes its determinant from `exactmath.determinant`.
 """
@@ -27,17 +32,9 @@ or false.  `cell_matrices` divides once by the known denominators, and
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
-from .exactmath import (
-    DomainError,
-    MultivariatePolynomial,
-    binomial,
-    determinant,
-)
-
-_ONE = MultivariatePolynomial.constant(1)
-_ZERO = MultivariatePolynomial()
+from .exactmath import DomainError, binomial, determinant
 
 
 class TwoPermutation:
@@ -93,6 +90,10 @@ class TwoPermutation:
 def enumerate_two_permutations(n):
     """All ordered partitions of {1..n} into blocks of size <= 2, in
     lexicographic order of their block sequences."""
+    # n = 8 lists 385,560 cells and n = 9 would list 4,740,120, twelve
+    # times as much memory; `chow_group_dimensions` counts them instead.
+    if n > 8:
+        raise DomainError(f"two-permutation enumeration needs n <= 8, got n = {n}")
     if n < 1:
         raise DomainError("need n >= 1")
     out = []
@@ -181,8 +182,15 @@ def _x_name(i, j, n):
     return f"x{i}{j}" if n <= 9 else f"x{i}_{j}"
 
 
+def format_entry(entry):
+    """A cell matrix entry as text: 0, 1, or its variables joined by '*'."""
+    return "0" if entry is None else "*".join(entry) or "1"
+
+
 class CellParametrization:
-    """Symbolic coordinates of one cell.
+    """Symbolic coordinates of one cell.  Each entry of X, Y and the
+    companion is None for 0, else the sorted tuple of its variable names,
+    () for 1.
 
     X is lower unitriangular in the variables x_ij (i < j, entry at row j,
     column i), with x_ij = 0 exactly when the block of i comes after the
@@ -232,16 +240,13 @@ class CellParametrization:
             row = []
             for c in range(1, n + 1):
                 if r == c:
-                    row.append(_ONE)
-                elif c < r:
-                    if (c, r) in forced_x:
-                        row.append(_ZERO)
-                    else:
-                        name = _x_name(c, r, n)
-                        free_x.append(name)
-                        row.append(MultivariatePolynomial.variable(name))
+                    row.append(())
+                elif c < r and (c, r) not in forced_x:
+                    name = _x_name(c, r, n)
+                    free_x.append(name)
+                    row.append((name,))
                 else:
-                    row.append(_ZERO)
+                    row.append(None)
             x_rows.append(tuple(row))
         self.X = tuple(x_rows)
         self.free_x = tuple(free_x)
@@ -269,10 +274,10 @@ def _block_monomial_matrix(sigma, span, forced_y):
     for t, block in enumerate(sigma.blocks, start=1):
         us = span(t)
         if not any(u in forced_y for u in us):
-            mono = MultivariatePolynomial.monomial(1, {f"y{u}": 1 for u in us})
+            mono = tuple(sorted(f"y{u}" for u in us))
             entries[(block[0], block[-1])] = entries[(block[-1], block[0])] = mono
     return tuple(
-        tuple(entries.get((r, c), _ZERO) for c in range(1, n + 1))
+        tuple(entries.get((r, c)) for c in range(1, n + 1))
         for r in range(1, n + 1)
     )
 
@@ -291,7 +296,8 @@ def _transpose(a):
 def _integer_matrix(matrix, values):
     """A symbolic matrix at the values, scaled to integers by the lcm of
     its entries' denominators, and that lcm."""
-    entries = [[entry.evaluate(values) for entry in row] for row in matrix]
+    entries = [[0 if e is None else prod(values[v] for v in e) for e in row]
+               for row in matrix]
     scale = lcm(*(x.denominator for row in entries for x in row))
     return tuple(
         tuple(x.numerator * (scale // x.denominator) for x in row) for row in entries

@@ -244,13 +244,14 @@ def _cmd_cells_weight(args):
 def _cmd_cells_param(args):
     sigma = _parse_sigma(args.sigma)
     param = cells_mod.cell_parametrization(sigma)
+    text = cells_mod.format_entry
     result = {
         "sigma": str(sigma),
         "free_variables": list(param.free_variables()),
         "free_variable_count": param.free_variable_count,
-        "X": [[str(e) for e in row] for row in param.X],
-        "Y": [[str(e) for e in row] for row in param.Y],
-        "companion": [[str(e) for e in row] for row in param.companion],
+        "X": [[text(e) for e in row] for row in param.X],
+        "Y": [[text(e) for e in row] for row in param.Y],
+        "companion": [[text(e) for e in row] for row in param.companion],
     }
     return result, {"sigma": str(sigma)}
 
@@ -533,6 +534,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if not hasattr(args, "handler"):
         parser.print_usage(sys.stderr)
+        return 2
+    # `--opt=--`: argparse before Python 3.13 drops the `--` and leaves the
+    # option an empty list, 3.13 keeps "--" as its value; no option takes either.
+    if any(isinstance(v, list) or v == "--" for v in vars(args).values()):
+        print("usage error: '--' is not an option value", file=sys.stderr)
         return 2
     start = time.perf_counter()
     try:

@@ -1,5 +1,9 @@
-"""Exact arithmetic: rationals, polynomials, interpolation, linear algebra,
-small combinatorics.
+"""Exact arithmetic: rationals, univariate polynomials, interpolation,
+linear algebra, small combinatorics.
+
+There is no multivariate polynomial type: the only symbolic entries in
+the package are the cell coordinates of `cells`, each 0, 1 or a product
+of distinct variables, which `cells` keeps as a tuple of variable names.
 
 Everything here is exact; no floating point is used anywhere.  Scalars are
 `fractions.Fraction` (arbitrary precision, always in lowest terms with a
@@ -238,140 +242,6 @@ def interpolate(points):
             term = term * UnivariatePolynomial([Fraction(-xj) / denom, 1 / denom])
         result = result + term
     return result
-
-
-class MultivariatePolynomial:
-    """Sparse polynomial in named variables over the exact rationals.
-
-    Terms map a monomial key -- a sorted tuple of (variable, exponent) pairs
-    -- to a nonzero Fraction coefficient.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        cleaned = {}
-        for key, coeff in (terms or {}).items():
-            coeff = _frac(coeff)
-            if coeff == 0:
-                continue
-            key = tuple(sorted((v, e) for v, e in key if e != 0))
-            cleaned[key] = cleaned.get(key, Fraction(0)) + coeff
-        self.terms = {k: c for k, c in cleaned.items() if c != 0}
-
-    @classmethod
-    def constant(cls, c):
-        return cls({(): c})
-
-    @classmethod
-    def variable(cls, name):
-        return cls({((name, 1),): 1})
-
-    @classmethod
-    def monomial(cls, coeff, exponents):
-        return cls({tuple(sorted(exponents.items())): coeff})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        other = _as_mpoly(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return MultivariatePolynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultivariatePolynomial({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-_as_mpoly(other))
-
-    def __rsub__(self, other):
-        return _as_mpoly(other) + (-self)
-
-    def __mul__(self, other):
-        other = _as_mpoly(other)
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = _merge_keys(k1, k2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return MultivariatePolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, MultivariatePolynomial):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == MultivariatePolynomial.constant(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def substitute(self, values):
-        """Substitute variables with scalars (or polynomials); missing
-        variables are left symbolic."""
-        result = MultivariatePolynomial()
-        for key, coeff in self.terms.items():
-            term = MultivariatePolynomial.constant(coeff)
-            for var, exp in key:
-                if var in values:
-                    factor = _as_mpoly(values[var])
-                else:
-                    factor = MultivariatePolynomial.variable(var)
-                for _ in range(exp):
-                    term = term * factor
-            result = result + term
-        return result
-
-    def evaluate(self, values):
-        """Fully evaluate to a Fraction; every variable must be assigned."""
-        total = Fraction(0)
-        for key, coeff in self.terms.items():
-            prod = coeff
-            for var, exp in key:
-                prod *= _frac(values[var]) ** exp
-            total += prod
-        return total
-
-    def __repr__(self):
-        return f"MultivariatePolynomial({self.terms!r})"
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms):
-            coeff = self.terms[key]
-            factors = ["*".join([str(v)] * e) for v, e in key]
-            mono = "*".join(factors)
-            if not mono:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(mono)
-            elif coeff == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{coeff}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-
-def _as_mpoly(x):
-    if isinstance(x, MultivariatePolynomial):
-        return x
-    return MultivariatePolynomial.constant(x)
-
-
-def _merge_keys(k1, k2):
-    expo = dict(k1)
-    for v, e in k2:
-        expo[v] = expo.get(v, 0) + e
-    return tuple(sorted(expo.items()))
 
 
 def _integer_rows(rows):

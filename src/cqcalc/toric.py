@@ -40,7 +40,8 @@ and one maximal cone per maximal chain of subsets.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
+from operator import or_
 
 from .exactmath import DomainError, _integer_line, determinant, solve_linear_system
 
@@ -160,11 +161,13 @@ class Fan:
 
     def check_complete(self):
         """Desk-scale completeness: there must be a maximal cone, and every
-        facet of a maximal cone must be shared by exactly two of them."""
+        facet of a maximal cone must be shared by exactly two of them.  A
+        facet is a cone's ray mask with one ray's bit cleared."""
         facet_count = {}
         for cone in self.maximal_cones:
-            for facet in combinations(sorted(cone), self.rank - 1):
-                key = frozenset(facet)
+            mask = self._ray_mask(cone)
+            for ray in cone:
+                key = mask ^ 1 << ray
                 facet_count[key] = facet_count.get(key, 0) + 1
         if not self.maximal_cones or any(count != 2 for count in facet_count.values()):
             raise DomainError("fan not complete")
@@ -357,14 +360,15 @@ def permutohedral_fan(n):
         for s in combinations(universe, size):
             subsets.append(frozenset(s))
     subsets.sort(key=lambda s: (len(s), sorted(s)))
-    ray_index = {s: i for i, s in enumerate(subsets)}
+    # Subset -> ray index, the subset as a bit mask with bit e for element e.
+    ray_index = {sum(1 << e for e in s): i for i, s in enumerate(subsets)}
 
     def quotient_vector(s):
         last = 1 if (n + 1) in s else 0
         return tuple((1 if i in s else 0) - last for i in range(1, n + 1))
 
     rays = [quotient_vector(s) for s in subsets]
-    cones = [[ray_index[frozenset(perm[: k + 1])] for k in range(n)]
+    cones = [[ray_index[mask] for mask in accumulate((1 << e for e in perm[:n]), or_)]
              for perm in permutations(universe)]
     # One map per cone, made as the constructor reads it, so that the maps
     # are never all held at once.

@@ -1,6 +1,8 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,12 +12,13 @@ from cqcalc.cells import (
     cell_parametrization,
     chow_group_dimensions,
     enumerate_two_permutations,
+    format_entry,
     one_parameter_exponents,
     verify_cell_point,
     verify_generic_point,
     weight,
 )
-from cqcalc.exactmath import DomainError, MultivariatePolynomial
+from cqcalc.exactmath import DomainError
 from cqcalc.quadrics import cq_dimension
 
 TABLE_ROWS = [
@@ -32,15 +35,6 @@ TABLE_ROWS = [
     ("2|13", 3),
     ("3|12", 1),
 ]
-
-
-def _poly(text_terms):
-    """Build a polynomial from {(("x12",1),("x23",2)): coeff} style input."""
-    return MultivariatePolynomial(dict(text_terms))
-
-
-def _var(name):
-    return MultivariatePolynomial.variable(name)
 
 
 def test_parse_and_format():
@@ -123,37 +117,42 @@ def test_weight_equals_free_variable_count():
 def test_parametrization_identity_cell():
     param = cell_parametrization(TwoPermutation.parse("1|2|3"))
     y = param.Y
-    assert y[0][0] == 1 and y[1][1] == _var("y1")
-    assert y[2][2] == _var("y1") * _var("y2")
+    assert y[0][0] == () and y[1][1] == ("y1",)
+    assert y[2][2] == ("y1", "y2")
     assert param.free_variable_count == 5
     assert param.free_x == ("x12", "x13", "x23")
-    assert param.companion[0][0] == _var("y1") * _var("y2")
-    assert param.companion[1][1] == _var("y2")
-    assert param.companion[2][2] == 1
+    assert param.X[2] == (("x13",), ("x23",), ())
+    assert param.companion[0][0] == ("y1", "y2")
+    assert param.companion[1][1] == ("y2",)
+    assert param.companion[2][2] == ()
+    assert [format_entry(e) for e in (None, (), ("x12",), ("y1", "y2"))] == [
+        "0", "1", "x12", "y1*y2"]
 
 
 def test_companion_pairs_with_y():
     # Y carries y_1..y_{t-1} and the companion y_t..y_{k-1} on block t, so
-    # their product is scalar, and nonzero unless some y is forced to 0
-    zero = MultivariatePolynomial()
+    # their product is y_1..y_{k-1} times the identity, or 0 when some y is
+    # forced to 0.  A sum of monomials is a Counter of merged name tuples.
     for n in range(1, 7):
         for sigma in enumerate_two_permutations(n):
             param = cell_parametrization(sigma)
-            for row in param.companion:
-                for entry in row:
-                    assert entry.is_zero() or list(entry.terms.values()) == [1], str(sigma)
+            for matrix in (param.Y, param.companion):
+                for entry in (e for row in matrix for e in row if e is not None):
+                    assert entry == tuple(sorted(set(entry))), str(sigma)
             product = [
                 [
-                    sum((y * c for y, c in zip(row, col) if not (y.is_zero() or c.is_zero())), zero)
+                    Counter(tuple(sorted(y + c)) for y, c in zip(row, col)
+                            if y is not None and c is not None)
                     for col in zip(*param.companion)
                 ]
                 for row in param.Y
             ]
             scalar = product[0][0]
-            assert scalar.is_zero() == bool(param.forced_y), str(sigma)
+            all_y = tuple(sorted(f"y{u}" for u in range(1, len(sigma.blocks))))
+            assert scalar == (Counter() if param.forced_y else Counter([all_y])), str(sigma)
             for r in range(n):
                 for c in range(n):
-                    assert product[r][c] == (scalar if r == c else zero), str(sigma)
+                    assert product[r][c] == (scalar if r == c else Counter()), str(sigma)
 
 
 def test_parametrization_is_built_once_per_sigma():
@@ -165,12 +164,12 @@ def test_parametrization_2_13():
     param = cell_parametrization(TwoPermutation.parse("2|13"))
     assert param.forced_x == ((1, 2),)
     y = param.Y
-    assert y[1][1] == 1
-    assert y[0][2] == _var("y1") and y[2][0] == _var("y1")
-    assert y[0][0].is_zero() and y[2][2].is_zero()
+    assert y[1][1] == ()
+    assert y[0][2] == ("y1",) and y[2][0] == ("y1",)
+    assert y[0][0] is None and y[2][2] is None
     comp = param.companion
-    assert comp[0][2] == 1 and comp[2][0] == 1
-    assert comp[1][1] == _var("y1")
+    assert comp[0][2] == () and comp[2][0] == ()
+    assert comp[1][1] == ("y1",)
     assert param.free_variable_count == 3
 
 
@@ -178,50 +177,33 @@ def test_parametrization_bottom_cell():
     param = cell_parametrization(TwoPermutation.parse("3|2|1"))
     assert param.free_variable_count == 0
     flat_y = [param.Y[r][c] for r in range(3) for c in range(3)]
-    assert [str(e) for e in flat_y] == ["0", "0", "0", "0", "0", "0", "0", "0", "1"]
+    assert [format_entry(e) for e in flat_y] == ["0", "0", "0", "0", "0", "0", "0", "0", "1"]
     flat_b = [param.companion[r][c] for r in range(3) for c in range(3)]
-    assert [str(e) for e in flat_b] == ["1", "0", "0", "0", "0", "0", "0", "0", "0"]
+    assert [format_entry(e) for e in flat_b] == ["1", "0", "0", "0", "0", "0", "0", "0", "0"]
 
 
 def test_displayed_pair_identity_cell():
     # frozen from the worked 5-dimensional cell: A = X Y X^t and the
-    # companion-based B, written out entry by entry
-    x12, x13, x23 = _var("x12"), _var("x13"), _var("x23")
-    y1, y2 = _var("y1"), _var("y2")
-    param = cell_parametrization(TwoPermutation.parse("1|2|3"))
-    x, y = param.X, param.Y
-
-    def mat_mul(a, b):
-        return tuple(
-            tuple(
-                sum((a[r][k] * b[k][c] for k in range(3)), MultivariatePolynomial())
-                for c in range(3)
-            )
-            for r in range(3)
-        )
-
-    a = mat_mul(mat_mul(x, y), tuple(zip(*x)))
-    assert a[0][0] == 1
-    assert a[1][0] == x12
-    assert a[1][1] == x12 * x12 + y1
-    assert a[2][1] == x12 * x13 + x23 * y1
-    assert a[2][2] == x23 * x23 * y1 + x13 * x13 + y1 * y2
-
-    values = {"x12": 2, "x13": 3, "x23": 5, "y1": 7, "y2": 11}
-    a_num, b_num = cell_matrices(TwoPermutation.parse("1|2|3"), values)
-    expected_b11 = (
-        x12 * x12 * x23 * x23
-        - 2 * x12 * x13 * x23
-        + x12 * x12 * y2
-        + x13 * x13
-        + y1 * y2
-    ).evaluate(values)
-    assert b_num[0][0] == expected_b11
-    assert b_num[2][2] == 1
-    assert b_num[0][2] == (x12 * x23 - x13).evaluate(values)
-    assert b_num[1][2] == (-x23).evaluate(values)
-    assert b_num[0][1] == (-x12 * x23 * x23 + x13 * x23 - x12 * y2).evaluate(values)
-    assert b_num[1][1] == (x23 * x23 + y2).evaluate(values)
+    # companion-based B, written out entry by entry.  Every entry has degree
+    # <= 2 in each variable, so agreeing on {1,2,3}^5 makes each an identity.
+    sigma = TwoPermutation.parse("1|2|3")
+    for x12, x13, x23, y1, y2 in product((1, 2, 3), repeat=5):
+        values = {"x12": x12, "x13": x13, "x23": x23, "y1": y1, "y2": y2}
+        a, b = cell_matrices(sigma, values)
+        assert all(m[r][c] == m[c][r] for m in (a, b) for r in range(3) for c in range(3))
+        assert a[0][0] == 1
+        assert a[1][0] == x12
+        assert a[2][0] == x13
+        assert a[1][1] == x12 * x12 + y1
+        assert a[2][1] == x12 * x13 + x23 * y1
+        assert a[2][2] == x23 * x23 * y1 + x13 * x13 + y1 * y2
+        assert b[0][0] == (x12 * x12 * x23 * x23 - 2 * x12 * x13 * x23
+                           + x12 * x12 * y2 + x13 * x13 + y1 * y2)
+        assert b[2][2] == 1
+        assert b[0][2] == x12 * x23 - x13
+        assert b[1][2] == -x23
+        assert b[0][1] == -x12 * x23 * x23 + x13 * x23 - x12 * y2
+        assert b[1][1] == x23 * x23 + y2
 
 
 def test_verify_cell_point_examples():
@@ -285,15 +267,9 @@ def test_fixed_points_match_table():
     # tabulated pair of rank-one / rank-two symmetric matrices
     for text, (a_code, b_code) in FIXED_POINTS.items():
         param = cell_parametrization(TwoPermutation.parse(text))
-        zeros = {name: 0 for name in param.free_variables()}
-        a = tuple(
-            tuple(entry.substitute(zeros).evaluate({}) for entry in row)
-            for row in param.Y
-        )
-        b = tuple(
-            tuple(entry.substitute(zeros).evaluate({}) for entry in row)
-            for row in param.companion
-        )
+        # a monomial is 1 at zero when it is the constant (), else 0
+        a = tuple(tuple(int(entry == ()) for entry in row) for row in param.Y)
+        b = tuple(tuple(int(entry == ()) for entry in row) for row in param.companion)
         assert a == _basis_matrix(a_code), text
         assert b == _basis_matrix(b_code), text
 
@@ -317,7 +293,9 @@ def _fraction_pair(sigma, values):
     param = cell_parametrization(sigma)
 
     def numeric(matrix):
-        return [[entry.evaluate(values) for entry in row] for row in matrix]
+        return [[Fraction(0) if entry is None
+                 else math.prod((values[v] for v in entry), start=Fraction(1))
+                 for entry in row] for row in matrix]
 
     def mul(a, b):
         return [[sum((a[r][k] * b[k][c] for k in range(3)), Fraction(0))

@@ -128,11 +128,49 @@ def test_cells_actions(capsys):
     code, out, _ = run_cli(capsys, "cells", "verify", "--sigma", "13|2",
                            "--random", "--seed", "9", "--format", "json")
     assert json.loads(out)["result"] is True
-    code, out, _ = run_cli(capsys, "cells", "param", "--sigma", "1|2|3",
-                           "--format", "json")
-    payload = json.loads(out)["result"]
-    assert payload["free_variable_count"] == 5
-    assert payload["Y"][2][2] == "y1*y2"
+
+
+CELLS_PARAM = {
+    "1|2|3": (
+        "sigma: 1|2|3\nfree_variables: x12\nx13\nx23\ny1\ny2\nfree_variable_count: 5\n"
+        "X: 1 0 0\nx12 1 0\nx13 x23 1\nY: 1 0 0\n0 y1 0\n0 0 y1*y2\n"
+        "companion: y1*y2 0 0\n0 y2 0\n0 0 1\n",
+        '{"X": [["1", "0", "0"], ["x12", "1", "0"], ["x13", "x23", "1"]], '
+        '"Y": [["1", "0", "0"], ["0", "y1", "0"], ["0", "0", "y1*y2"]], '
+        '"companion": [["y1*y2", "0", "0"], ["0", "y2", "0"], ["0", "0", "1"]], '
+        '"free_variable_count": 5, "free_variables": ["x12", "x13", "x23", "y1", "y2"], '
+        '"sigma": "1|2|3"}',
+    ),
+    "2|13": (
+        "sigma: 2|13\nfree_variables: x13\nx23\ny1\nfree_variable_count: 3\n"
+        "X: 1 0 0\n0 1 0\nx13 x23 1\nY: 0 0 y1\n0 1 0\ny1 0 0\n"
+        "companion: 0 0 1\n0 y1 0\n1 0 0\n",
+        '{"X": [["1", "0", "0"], ["0", "1", "0"], ["x13", "x23", "1"]], '
+        '"Y": [["0", "0", "y1"], ["0", "1", "0"], ["y1", "0", "0"]], '
+        '"companion": [["0", "0", "1"], ["0", "y1", "0"], ["1", "0", "0"]], '
+        '"free_variable_count": 3, "free_variables": ["x13", "x23", "y1"], '
+        '"sigma": "2|13"}',
+    ),
+    "3|2|1": (
+        "sigma: 3|2|1\nfree_variables: \nfree_variable_count: 0\n"
+        "X: 1 0 0\n0 1 0\n0 0 1\nY: 0 0 0\n0 0 0\n0 0 1\n"
+        "companion: 1 0 0\n0 0 0\n0 0 0\n",
+        '{"X": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], '
+        '"Y": [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "1"]], '
+        '"companion": [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]], '
+        '"free_variable_count": 0, "free_variables": [], "sigma": "3|2|1"}',
+    ),
+}
+
+
+@pytest.mark.parametrize("sigma", sorted(CELLS_PARAM))
+def test_cells_param_output_pinned(capsys, sigma):
+    text, result = CELLS_PARAM[sigma]
+    assert run_cli(capsys, "cells", "param", "--sigma", sigma) == (0, text, "")
+    payload = (f'{{"meta": {{"command": "cells param", "params": {{"sigma": "{sigma}"}}}}, '
+               f'"result": {result}, "schema": 1}}\n')
+    assert run_cli(capsys, "cells", "param", "--sigma", sigma,
+                   "--format", "json") == (0, payload, "")
 
 
 def test_toric_commands(tmp_path, capsys):
@@ -263,6 +301,15 @@ def test_permutohedral_fan_past_reach_refused(capsys, argv, n):
                          f"permutohedral fan needs n <= 8, got n = {n}")
 
 
+@pytest.mark.parametrize("n", [9, 10**6])
+def test_two_permutation_enumeration_past_reach_refused(capsys, n):
+    # n = 9 would list 4,740,120 cells; the histogram counts them instead
+    _assert_domain_error(capsys, ("cells", "enumerate", "--n", str(n)),
+                         f"two-permutation enumeration needs n <= 8, got n = {n}")
+    code, out, _ = run_cli(capsys, "cells", "--n", "9", "--histogram")
+    assert code == 0 and sum(map(int, out.split())) == 4_740_120
+
+
 def test_segre_commands(tmp_path, capsys):
     data = '{"degF":4,"nL":2,"mY":1,"s":[0,6]}'
     code, out, _ = run_cli(capsys, "segre", "mu", "--data", data, "--i", "2",
@@ -344,6 +391,30 @@ def test_malformed_values_are_usage_errors(capsys, argv, needle):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and needle in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("phi", "--n=--", "--d", "3"),
+    ("cells", "weight", "--sigma=--"),
+    ("matroid", "reduced", "--uniform=--"),
+    ("segre", "mu", "--data=--", "--i", "1"),
+    ("toric", "integral", "--permutohedral", "2", "--class=--"),
+    ("cells", "verify", "--sigma", "2|13", "--values=--"),
+    ("product", "--n=--", "--a", "1", "--b", "2"),
+    ("cells", "--n=--", "--histogram"),
+    ("flag-integral", "--n", "3", "--b=--"),
+], ids=" ".join)
+def test_double_dash_option_value_is_usage_error(capsys, argv):
+    # argparse before Python 3.13 turns `--opt=--` into an empty list;
+    # 3.13 rejects it for an int option and passes "--" to the others
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code, needle = exc.code, "argument --n: invalid int value: '--'\n"
+    else:
+        needle = "usage error: '--' is not an option value\n"
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err.endswith(needle)
 
 
 def test_charpoly_computes_chi_once(capsys, monkeypatch):

@@ -1,7 +1,8 @@
 """Property test of the CLI exit-code contract: on any argv drawn for the
-closed-form subcommands, `flag-integral`, the Chow-group histogram and
-`toric mu-generic`, `main` returns 0, 2 or 3 or argparse exits with 2, and
-no other exception escapes."""
+closed-form subcommands, `flag-integral`, the Chow-group histogram,
+`toric mu-generic` and `cells weight|param|verify`, `main` returns 0, 2 or
+3 or argparse exits with 2, and no other exception escapes.  Each value is
+passed as `--flag value` or `--flag=value`, and may be `--`."""
 
 import contextlib
 import io
@@ -14,6 +15,20 @@ from cqcalc.cli import main
 INT = st.integers(-2, 10).map(str)
 # A flag integral with n <= 10 takes under 0.1 s, so no drawn list can hang.
 INT_LIST = st.lists(st.integers(-2, 10), max_size=10).map(lambda xs: ",".join(map(str, xs)))
+# Bar syntax, mostly well formed; a cell of up to 8 elements parametrizes
+# in milliseconds, and only n = 3 cells verify.
+SIGMA = st.one_of(
+    st.lists(st.text("123", min_size=1, max_size=2), min_size=1, max_size=4).map("|".join),
+    st.text("12345678|a -", max_size=9),
+)
+ASSIGNMENT = st.tuples(
+    st.sampled_from(["x12", "x13", "x23", "y1", "y2", "z", ""]),
+    st.sampled_from(["1", "-2/3", "5", "0", "1/0", "a", ""]),
+).map("=".join)
+VALUES = st.one_of(
+    st.lists(ASSIGNMENT, max_size=6).map(",".join),
+    st.text("xy123=,/-", max_size=12),
+)
 
 # Command words -> {flag: value strategy, or None for a bare flag}.
 # `product` is left out: it runs the general reduction, which has no work
@@ -30,6 +45,9 @@ FLAGS = {
     "flag-integral": {"--n": INT, "--b": INT_LIST},
     "cells": {"--histogram": None, "--n": st.integers(-2, 8).map(str)},
     "toric mu-generic": {"--n": st.integers(-2, 4).map(str)},
+    "cells weight": {"--sigma": SIGMA},
+    "cells param": {"--sigma": SIGMA},
+    "cells verify": {"--sigma": SIGMA, "--values": VALUES, "--random": None, "--seed": INT},
 }
 
 
@@ -41,8 +59,13 @@ def argvs(draw):
     omitted = draw(st.sets(st.sampled_from(sorted(flags)), max_size=1))
     argv = command.split()
     for flag, values in flags.items():
-        if flag not in omitted:
-            argv += [flag] if values is None else [flag, draw(values)]
+        if flag in omitted:
+            continue
+        if values is None:
+            argv.append(flag)
+            continue
+        value = draw(st.one_of(values, st.just("--")))
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     if draw(st.booleans()):
         argv += ["--format", "json"]
     return argv

@@ -6,7 +6,6 @@ import pytest
 
 from cqcalc.exactmath import (
     DomainError,
-    MultivariatePolynomial,
     UnivariatePolynomial,
     binomial,
     determinant,
@@ -93,41 +92,6 @@ def test_divide_by_linear():
     assert q == UnivariatePolynomial([3, -3, 1])
     _, rem2 = p.divide_by_linear(2)
     assert rem2 == p(2)
-
-
-def _random_mpoly(rng):
-    variables = ["x", "y", "z"]
-    poly = MultivariatePolynomial()
-    for _ in range(rng.randint(0, 4)):
-        expo = {v: rng.randint(0, 2) for v in rng.sample(variables, rng.randint(1, 3))}
-        poly = poly + MultivariatePolynomial.monomial(
-            Fraction(rng.randint(-4, 4), rng.randint(1, 3)), expo
-        )
-    return poly
-
-
-def test_multivariate_mul_associative_commutative():
-    rng = random.Random(99)
-    for _ in range(25):
-        p, q, r = (_random_mpoly(rng) for _ in range(3))
-        assert p * q == q * p
-        assert (p * q) * r == p * (q * r)
-        assert p * (q + r) == p * q + p * r
-
-
-def test_multivariate_no_stored_zeros():
-    p = MultivariatePolynomial.variable("x") - MultivariatePolynomial.variable("x")
-    assert p.terms == {}
-    q = MultivariatePolynomial({(("x", 1),): 2, (("x", 0),): 0})
-    assert all(c != 0 for c in q.terms.values())
-
-
-def test_multivariate_substitute_and_gcd():
-    x = MultivariatePolynomial.variable("x")
-    y = MultivariatePolynomial.variable("y")
-    p = x * x * y + 2 * x * y * y
-    assert p.substitute({"x": 0}).is_zero()
-    assert p.evaluate({"x": 2, "y": Fraction(1, 2)}) == 2 + 1
 
 
 def test_solve_linear_system():
