@@ -11,7 +11,6 @@ the torus-action cell decomposition of the space of complete quadrics.
 
 from .exactmath import (
     DomainError,
-    ExactRational,
     UnivariatePolynomial,
     binomial,
     interpolate,

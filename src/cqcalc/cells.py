@@ -58,17 +58,28 @@ class TwoPermutation:
 
     @classmethod
     def parse(cls, text):
-        """Parse the bar syntax used in tables, e.g. "2|13"."""
+        """Parse the bar syntax used in tables, e.g. "2|13".
+
+        Each digit is one element, unless the text holds a comma or more
+        than nine digits; then the elements of a block are separated by
+        commas, e.g. "1|2|3|4|5|6|7|8|9|10,11".  Written in digits, every
+        2-permutation with n <= 9 has at most nine digits and every one
+        with n >= 10 has more, so the two readings never compete."""
+        commas = "," in text or sum(map(str.isdigit, text)) > 9
         blocks = []
         for chunk in text.strip().split("|"):
             chunk = chunk.strip()
             if not chunk:
                 raise DomainError(f"empty block in {text!r}")
-            blocks.append(tuple(int(ch) for ch in chunk))
+            elements = chunk.split(",") if commas else chunk
+            if not all(map(str.isdecimal, elements)):
+                raise DomainError(f"block {chunk!r} is not digits")
+            blocks.append(tuple(map(int, elements)))
         return cls(blocks)
 
     def __str__(self):
-        return "|".join("".join(str(e) for e in b) for b in self.blocks)
+        sep = "," if self.n >= 10 else ""
+        return "|".join(sep.join(map(str, b)) for b in self.blocks)
 
     def __repr__(self):
         return f"TwoPermutation.parse({str(self)!r})"

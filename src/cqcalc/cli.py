@@ -134,9 +134,14 @@ def _load_matroid(args):
 
 def _parse_sigma(text):
     try:
-        return cells_mod.TwoPermutation.parse(text)
+        sigma = cells_mod.TwoPermutation.parse(text)
     except ValueError:
-        raise UsageError(f"--sigma takes digit blocks like '2|13', got {text!r}")
+        raise UsageError(f"--sigma takes digit blocks like '2|13' (elements "
+                         f"separated by commas when n >= 10), got {text!r}")
+    # the range in which one_parameter_exponents is checked
+    if sigma.n > 16:
+        raise DomainError(f"--sigma needs n <= 16, got n = {sigma.n}")
+    return sigma
 
 
 # --- handlers -------------------------------------------------------------

@@ -4,24 +4,25 @@ linear algebra, small combinatorics.
 There is no multivariate polynomial type: the only symbolic entries in
 the package are the cell coordinates of `cells`, each 0, 1 or a product
 of distinct variables, which `cells` keeps as a tuple of variable names.
+`UnivariatePolynomial` is a value, not a ring: it evaluates, compares,
+divides by a linear factor and prints, and has no arithmetic operators.
 
 Everything here is exact; no floating point is used anywhere.  Scalars are
 `fractions.Fraction` (arbitrary precision, always in lowest terms with a
-positive denominator), exposed under the name `ExactRational`.  All values
-are immutable after construction and every operation is a pure function, so
-the module is safe to use from any number of threads.
+positive denominator).  All values are immutable after construction and
+every operation is a pure function, so the module is safe to use from any
+number of threads.
 
 Linear algebra has one elimination kernel, `_echelon`: fraction-free
 (Bareiss) row reduction on integer rows.  `matrix_rank`, `determinant` and
 `solve_linear_system` all derive from it; rows with rational entries are
 first scaled to integers, and all-`int` rows are used as they are.
+`interpolate` is `solve_linear_system` on the Vandermonde system of its
+points.
 """
 
 import math
 from fractions import Fraction
-
-ExactRational = Fraction
-
 
 class DomainError(ValueError):
     """Raised when an operation is called outside its mathematical domain."""
@@ -134,41 +135,6 @@ class UnivariatePolynomial:
             acc = acc * x + c
         return acc
 
-    def __add__(self, other):
-        other = _as_poly(other)
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UnivariatePolynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UnivariatePolynomial([-c for c in self.coefficients])
-
-    def __sub__(self, other):
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other):
-        return _as_poly(other) + (-self)
-
-    def __mul__(self, other):
-        other = _as_poly(other)
-        if self.is_zero() or other.is_zero():
-            return UnivariatePolynomial()
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return UnivariatePolynomial(out)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if isinstance(other, UnivariatePolynomial):
             return self.coefficients == other.coefficients
@@ -185,7 +151,7 @@ class UnivariatePolynomial:
         q = []
         carry = Fraction(0)
         for c in reversed(self.coefficients):
-            carry = _frac(c) + carry * root
+            carry = c + carry * root
             q.append(carry)
         if not q:
             return UnivariatePolynomial(), Fraction(0)
@@ -220,28 +186,15 @@ class UnivariatePolynomial:
         return self.to_string()
 
 
-def _as_poly(x):
-    if isinstance(x, UnivariatePolynomial):
-        return x
-    return UnivariatePolynomial([x])
-
-
 def interpolate(points):
-    """Lagrange interpolation through (x, y) pairs with distinct integer x."""
-    xs = [p[0] for p in points]
+    """The polynomial of degree below len(points) through (x, y) pairs with
+    distinct integer x: the solution c of the Vandermonde system
+    sum_k c_k x^k = y."""
+    xs = [x for x, _ in points]
     if len(set(xs)) != len(xs):
         raise DomainError("duplicate abscissa")
-    result = UnivariatePolynomial()
-    for i, (xi, yi) in enumerate(points):
-        term = UnivariatePolynomial([yi])
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            # (x - xj) / (xi - xj)
-            denom = Fraction(xi - xj)
-            term = term * UnivariatePolynomial([Fraction(-xj) / denom, 1 / denom])
-        result = result + term
-    return result
+    matrix = [[x**k for k in range(len(xs))] for x in xs]
+    return UnivariatePolynomial(solve_linear_system(matrix, [y for _, y in points]))
 
 
 def _integer_rows(rows):

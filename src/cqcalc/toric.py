@@ -399,6 +399,10 @@ def mu_generic(n):
 
     The powers H1^k are built once for k = 0..n, then each is multiplied
     by H2: n + n(n+1)/2 multiplies in all."""
+    # The multiplies, not the fan, are what cost: n = 6 takes some 17 s
+    # and 0.5 GB, and each further n multiplies the cones by n + 2.
+    if n > 6:
+        raise DomainError(f"mu_generic needs n <= 6, got n = {n}")
     fan = permutohedral_fan(n)
     h1, h2 = permutohedral_divisors(fan)
     powers = [ToricClass.unit(fan)]

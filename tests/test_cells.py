@@ -48,6 +48,40 @@ def test_parse_and_format():
         TwoPermutation.parse("1|1")
 
 
+def _random_two_permutation(rng, n):
+    elements = list(range(1, n + 1))
+    rng.shuffle(elements)
+    blocks = []
+    while elements:
+        size = min(rng.choice((1, 2)), len(elements))
+        blocks.append(elements[:size])
+        del elements[:size]
+    return TwoPermutation(blocks)
+
+
+def test_parse_and_format_past_nine():
+    sigma = TwoPermutation.parse("1|2|3|4|5|6|7|8|9|10,11")
+    assert sigma.blocks[-1] == (10, 11) and sigma.n == 11
+    assert str(sigma) == "1|2|3|4|5|6|7|8|9|10,11"
+    # more than nine digits: every block is comma-separated, "10" one element
+    assert TwoPermutation.parse("10|9|8|7|6|5|4|3|2|1").blocks[0] == (10,)
+    # a comma switches a short text to commas too
+    assert TwoPermutation.parse("2|1,3") == TwoPermutation.parse("2|13")
+    # int() spellings that are not plain digits are refused
+    for text in ("1|2|3|4|5|6|7|8|9|1_0,11", "1|2|3|4|5|6|7|8|9|10,+11", "2|1, 3", "2|1,,3"):
+        with pytest.raises(DomainError):
+            TwoPermutation.parse(text)
+    rng = random.Random(1019)
+    for n in (10, 11, 12):
+        for _ in range(50):
+            sigma = _random_two_permutation(rng, n)
+            text = str(sigma)
+            assert TwoPermutation.parse(text) == sigma, text
+            assert sum(map(str.isdigit, text)) > 9
+    # n <= 9 prints without commas, as before
+    assert all("," not in str(s) for s in enumerate_two_permutations(5))
+
+
 def test_enumeration_counts():
     assert len(enumerate_two_permutations(1)) == 1
     assert len(enumerate_two_permutations(2)) == 3

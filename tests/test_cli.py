@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cqcalc import cli, matroid
+from cqcalc import cells, cli, matroid
 from cqcalc.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -163,6 +163,29 @@ CELLS_PARAM = {
 }
 
 
+@pytest.mark.parametrize("sigma", ["1|2|3|4|5|6|7|8|9|10,11", "11|3,10|1,9|2|4,8|5,7|6"])
+def test_cells_past_nine_elements_match_library(capsys, sigma):
+    cell = cells.TwoPermutation.parse(sigma)
+    assert cell.n == 11
+    assert run_cli(capsys, "cells", "weight", "--sigma", sigma) == (
+        0, f"{cells.weight(cell)}\n", "")
+    code, out, _ = run_cli(capsys, "cells", "param", "--sigma", sigma, "--format", "json")
+    result = json.loads(out)["result"]
+    param = cells.cell_parametrization(cell)
+    assert code == 0 and result["sigma"] == sigma
+    for name in ("X", "Y", "companion"):
+        assert result[name] == [[cells.format_entry(e) for e in row]
+                                for row in getattr(param, name)]
+    assert result["free_variables"] == list(param.free_variables())
+
+
+def test_cells_sigma_past_sixteen_refused(capsys):
+    sigma = "|".join(map(str, range(1, 18)))
+    for action in ("weight", "param"):
+        _assert_domain_error(capsys, ("cells", action, "--sigma", sigma),
+                             "--sigma needs n <= 16, got n = 17")
+
+
 @pytest.mark.parametrize("sigma", sorted(CELLS_PARAM))
 def test_cells_param_output_pinned(capsys, sigma):
     text, result = CELLS_PARAM[sigma]
@@ -291,7 +314,6 @@ def test_toric_integral_checks_fan_file(tmp_path, capsys, text, needle):
 @pytest.mark.parametrize("n", [9, 10**6])
 @pytest.mark.parametrize("argv", [
     ("toric", "fan-check", "--permutohedral"),
-    ("toric", "mu-generic", "--n"),
     ("toric", "integral", "--permutohedral"),
 ])
 def test_permutohedral_fan_past_reach_refused(capsys, argv, n):
@@ -299,6 +321,13 @@ def test_permutohedral_fan_past_reach_refused(capsys, argv, n):
     cls = ("--class", "[]") if argv[1] == "integral" else ()
     _assert_domain_error(capsys, (*argv, str(n), *cls),
                          f"permutohedral fan needs n <= 8, got n = {n}")
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10**6])
+def test_mu_generic_past_reach_refused(capsys, n):
+    # mu_generic(6) already takes seconds; refused before the fan is built
+    _assert_domain_error(capsys, ("toric", "mu-generic", "--n", str(n)),
+                         f"mu_generic needs n <= 6, got n = {n}")
 
 
 @pytest.mark.parametrize("n", [9, 10**6])

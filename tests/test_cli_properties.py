@@ -19,7 +19,7 @@ INT_LIST = st.lists(st.integers(-2, 10), max_size=10).map(lambda xs: ",".join(ma
 # in milliseconds, and only n = 3 cells verify.
 SIGMA = st.one_of(
     st.lists(st.text("123", min_size=1, max_size=2), min_size=1, max_size=4).map("|".join),
-    st.text("12345678|a -", max_size=9),
+    st.text("12345678|a -,", max_size=9),
 )
 ASSIGNMENT = st.tuples(
     st.sampled_from(["x12", "x13", "x23", "y1", "y2", "z", ""]),
