@@ -314,13 +314,15 @@ def test_toric_integral_checks_fan_file(tmp_path, capsys, text, needle):
 @pytest.mark.parametrize("n", [9, 10**6])
 @pytest.mark.parametrize("argv", [
     ("toric", "fan-check", "--permutohedral"),
+    ("toric", "mu-generic", "--n"),
     ("toric", "integral", "--permutohedral"),
 ])
 def test_permutohedral_fan_past_reach_refused(capsys, argv, n):
     # (n+1)! maximal cones: refused before any is built
     cls = ("--class", "[]") if argv[1] == "integral" else ()
-    _assert_domain_error(capsys, (*argv, str(n), *cls),
-                         f"permutohedral fan needs n <= 8, got n = {n}")
+    needle = (f"mu_generic needs n <= 6, got n = {n}" if argv[1] == "mu-generic"
+              else f"permutohedral fan needs n <= 8, got n = {n}")
+    _assert_domain_error(capsys, (*argv, str(n), *cls), needle)
 
 
 @pytest.mark.parametrize("n", [7, 8, 9, 10**6])
