@@ -51,6 +51,7 @@ from .matroid import (
 from .toric import (
     Fan,
     ToricClass,
+    localized_integral,
     multiply_by_divisor,
     mu_generic,
     permutohedral_fan,

@@ -19,6 +19,11 @@ Linear algebra has one elimination kernel, `_echelon`: fraction-free
 first scaled to integers, and all-`int` rows are used as they are.
 `interpolate` is `solve_linear_system` on the Vandermonde system of its
 points.
+
+Equivariant localization (Atiyah-Bott, Topology 23, 1984) has one kernel,
+`localization_sum`: the exact integer sum of f(p) / e(p) over the fixed
+points p of a torus action, from the integer values of the integrand f
+and of the Euler class e of the tangent space at a chosen weight.
 """
 
 import math
@@ -101,6 +106,24 @@ def is_log_concave(seq):
     return all(
         seq[i] * seq[i] >= seq[i - 1] * seq[i + 1] for i in range(1, len(seq) - 1)
     )
+
+
+def localization_sum(terms):
+    """Sum of f / e over (f, e) pairs of ints, which must be an integer.
+
+    Each term is scaled to the lcm of the |e|, the scaled numerators are
+    added, and the total is divided once.  A zero e is a DomainError (the
+    weight is not generic); a remainder means the data were not a
+    localization and raises RuntimeError."""
+    terms = list(terms)
+    common = math.lcm(*(e for _, e in terms))
+    if common == 0:
+        raise DomainError("zero weight at a fixed point")
+    total = sum(f * (common // e) for f, e in terms)
+    value, rest = divmod(total, common)
+    if rest:
+        raise RuntimeError(f"non-integer localization sum {total}/{common}")
+    return value
 
 
 def _frac(x):

@@ -15,7 +15,7 @@ class of the transposition s_k) have two routes:
   most `TABLE_VARIABLES` = 5 variables (Fl_6), keyed by the exponent
   vector packed as an integer.  Up to Fl_6 an integral is one lookup; on a
   larger Fl_n the first n - 6 variables are dealt out by a forward count
-  and the last five read the table (see `_weyl_integral`).  The cap keeps
+  and the last five read the table (see `_dealt_count`).  The cap keeps
   the table small: on 6, 7 or 8 variables it would hold 7,958, 142,396 or
   3,104,160 coefficients and take up to seconds and hundreds of MB to build;
 * with an explicit multiplication `order`, Monk's rule applied factor by
@@ -39,6 +39,12 @@ _integral_memo = {}
 
 # largest variable count a volume table is built for
 TABLE_VARIABLES = 5
+
+# k! for every exponent up to C(6,2), the dimension of Fl_6, and
+# prod_{k<n} k! for n <= 6: the factorials of a one-lookup flag integral.
+_FACTORIALS = tuple(factorial(k) for k in range(binomial(TABLE_VARIABLES + 1, 2) + 1))
+_FLAG_DENOMINATORS = tuple(prod(factorial(k) for k in range(1, n))
+                           for n in range(TABLE_VARIABLES + 2))
 
 
 def validate_permutation(w):
@@ -229,26 +235,56 @@ def _weyl_integral(n, b):
 
     The n-1 single-variable factors t_i take one from every exponent (and
     kill the integral when some exponent is 0), leaving the exponents
-    `need`.  The interval factors whose first variable lies among the last
-    `tail` = min(n-1, TABLE_VARIABLES) are the interval factors on those
-    variables alone, so their share of the coefficient is one lookup in the
-    volume table on `tail` variables; an exponent vector the table lacks
-    has coefficient 0.  Up to Fl_6 there is nothing else.
-
-    On a larger Fl_n the factors of the first n-1-tail rows (interval
-    factors t_lo+...+t_hi with lo < n-1-tail) are dealt forward first, by
-    counting how many ways each can hand its degree to one of its
-    variables; a state is the tuple of exponents still needed, and
-    `cover[m]` counts the factors not yet dealt that contain t_m, so a
-    variable needing that many must take the current factor.  That keeps
-    every state within its cover, so once those rows are dealt the first
-    variables need nothing and each state's tail is a table key.
+    b_s - 1.  Up to Fl_6 the interval factors are those of the volume
+    table on n-1 variables, so the coefficient is one lookup: the key
+    packs the b_s - 1 straight from b, and since these sum to C(n-1,2),
+    one less than the table's base, every digit is below the base and no
+    two exponent vectors share a key; a key the table lacks has
+    coefficient 0.  The factorials come from `_FACTORIALS` and
+    `_FLAG_DENOMINATORS`.  A larger Fl_n takes `_dealt_count`.
     """
     if 0 in b:
         return 0
+    size = n - 1
+    if size <= TABLE_VARIABLES:
+        base = binomial(size, 2) + 1
+        key = 0
+        for x in b:
+            key = key * base + x - 1
+        numerator = _volume_table(size).get(key, 0)
+        if not numerator:
+            return 0
+        for x in b:
+            numerator *= _FACTORIALS[x]
+        denominator = _FLAG_DENOMINATORS[n]
+    else:
+        numerator = _dealt_count(n, b) * prod(factorial(x) for x in b)
+        denominator = prod(factorial(k) for k in range(1, n))
+    value, rest = divmod(numerator, denominator)
+    if rest:
+        raise RuntimeError(f"non-integer flag integral {numerator}/{denominator}")
+    return value
+
+
+def _dealt_count(n, b):
+    """[t^e] of the interval factors on Fl_n with n - 1 > TABLE_VARIABLES,
+    for the exponents b_s - 1 that `_weyl_integral` leaves.
+
+    The interval factors whose first variable lies among the last
+    `TABLE_VARIABLES` are the interval factors on those variables alone,
+    so their share of the coefficient is a lookup in that volume table.
+    The factors of the first rows (interval factors t_lo+...+t_hi with lo
+    below n - 1 - TABLE_VARIABLES) are dealt forward first, by counting
+    how many ways each can hand its degree to one of its variables; a
+    state is the tuple of exponents still needed, and `cover[m]` counts
+    the factors not yet dealt that contain t_m, so a variable needing that
+    many must take the current factor.  That keeps every state within its
+    cover, so once those rows are dealt the first variables need nothing
+    and each state's tail is a table key.
+    """
     need = tuple(x - 1 for x in reversed(b))
     size = n - 1
-    tail = min(size, TABLE_VARIABLES)
+    tail = TABLE_VARIABLES
     head = size - tail
     # intervals [lo, hi] of 0..size-1 containing m, less the singleton
     cover = [(m + 1) * (size - m) - 1 for m in range(size)]
@@ -277,12 +313,7 @@ def _weyl_integral(n, b):
         for x in reversed(state[head:]):
             key = key * base + x
         count += ways * table.get(key, 0)
-    numerator = count * prod(factorial(x) for x in b)
-    denominator = prod(factorial(k) for k in range(1, n))
-    value, rest = divmod(numerator, denominator)
-    if rest:
-        raise RuntimeError(f"non-integer flag integral {numerator}/{denominator}")
-    return value
+    return count
 
 
 def _monk_integral(n, b, order):

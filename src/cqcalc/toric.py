@@ -29,7 +29,19 @@ Which route answers:
 * smoothness: a cone whose pairs all pass that test is certified, because
   an integer matrix inverts its rays, which forces determinant +-1; any
   other cone (every `--fan` cone, and one whose pairs fail) is decided by
-  one `determinant`.
+  one `determinant`;
+* top-degree products of divisors (`localized_integral`, and
+  `mu_generic` through the same restrictions): Bott's residue formula
+  over the maximal cones, the torus fixed points.  Each ray of a cone
+  restricts to <m, t> for its dual functional m there, read off a pair
+  that passes the test above as t_a - t_b (no row is built), or else
+  solved; `exactmath.localization_sum` adds the residues exactly.  No
+  class is built, so no cone lookup and no dual row is cached.
+  `mu_generic` takes about 3 ms at n = 4, 25 ms at n = 5, 0.2 s at n = 6
+  and 2 s at n = 7, where its 65 MB peak is the fan's own; multiplying
+  classes took 20 ms, 0.45 s, and some 17 s and 0.5 GB at n = 4, 5, 6.
+  It refuses n > 7, since the fan at n = 8 has nine times as many cones
+  as at n = 7.  `multiply_by_divisor` is its test oracle.
 
 Both solve and determinant are `exactmath`'s single fraction-free
 (Bareiss) integer elimination.
@@ -41,9 +53,16 @@ and one maximal cone per maximal chain of subsets.
 
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations
+from math import prod
 from operator import or_
 
-from .exactmath import DomainError, _integer_line, determinant, solve_linear_system
+from .exactmath import (
+    DomainError,
+    _integer_line,
+    determinant,
+    localization_sum,
+    solve_linear_system,
+)
 
 
 def _bits(mask):
@@ -221,16 +240,19 @@ class Fan:
             ]
         return tuple((i == a) - (i == b) for i in range(1, self.rank + 1)), row
 
-    def _solved_dual(self, cone, ray_index):
-        """m from the cone's rays by one linear solve, and its row over
-        every ray."""
+    def _solved_functional(self, cone, ray_index):
+        """m from the cone's rays by one linear solve, as a tuple of ints."""
         order = sorted(cone)
         matrix = [list(self.rays[i]) for i in order]
         rhs = [1 if i == ray_index else 0 for i in order]
         m = solve_linear_system(matrix, rhs)
         if any(c.denominator != 1 for c in m):
             raise DomainError("fan not smooth")
-        m = tuple(c.numerator for c in m)
+        return tuple(c.numerator for c in m)
+
+    def _solved_dual(self, cone, ray_index):
+        """The solved m and its row over every ray."""
+        m = self._solved_functional(cone, ray_index)
         row = ((sigma, -sum(a * b for a, b in zip(m, u)))
                for sigma, u in enumerate(self.rays))
         return m, [(sigma, c) for sigma, c in row if c]
@@ -336,6 +358,67 @@ def toric_integral(cls):
     return sum(cls._terms.values(), Fraction(0))
 
 
+def _restrict(fan, divisors, weights=None):
+    """Yield, for every maximal cone sigma, e(sigma) and the restriction of
+    each divisor there, evaluated at the weight t.
+
+    Ray rho of sigma restricts to <m, t> for m its dual functional in
+    sigma, and e(sigma) is the product of these over the rays of sigma; a
+    ray outside sigma restricts to 0.  A ray whose pair (a, b) passes
+    `_is_dual` gives t_a - t_b (t padded with t_(rank+1) = 0); any other
+    ray's m is solved first, so that the default t = (1, K, K^2, ...) with
+    K = 2 max |m_i| + 1 makes every <m, t> nonzero (its base-K digits are
+    the entries of m).  By the localization theorem the sum of the
+    residues does not depend on t; `weights`, `rank` ints, replaces the
+    default t."""
+    nrays = len(fan.rays)
+    dense = []
+    for divisor in divisors:
+        column = [0] * nrays
+        for ray, d in divisor.items():
+            d = _exact(d)
+            if not isinstance(d, int):
+                raise DomainError("localized integral needs integer divisors")
+            if 0 <= ray < nrays:
+                column[ray] = d
+        dense.append(column)
+    # (cone index, ray) -> solved m, for every ray without a passing pair.
+    solved = {}
+    for index, (cone, pairs) in enumerate(zip(fan.maximal_cones, fan._cone_pairs)):
+        for k, ray in enumerate(sorted(cone)):
+            if not (pairs and fan._is_dual(cone, ray, pairs[2 * k], pairs[2 * k + 1])):
+                solved[index, ray] = fan._solved_functional(cone, ray)
+    if weights is None:
+        base = 2 * max((abs(c) for m in solved.values() for c in m), default=1) + 1
+        weights = [base**i for i in range(fan.rank)]
+    padded = (0, *weights, 0)
+    for index, (cone, pairs) in enumerate(zip(fan.maximal_cones, fan._cone_pairs)):
+        euler = 1
+        values = [0] * len(dense)
+        for k, ray in enumerate(sorted(cone)):
+            m = solved.get((index, ray))
+            if m is None:
+                w = padded[pairs[2 * k]] - padded[pairs[2 * k + 1]]
+            else:
+                w = sum(c * x for c, x in zip(m, weights))
+            euler *= w
+            for j, column in enumerate(dense):
+                values[j] += column[ray] * w
+        yield euler, values
+
+
+def localized_integral(fan, divisors):
+    """Integral of the product of `rank` divisors with integer
+    coefficients, each a map ray index -> coefficient, on a smooth
+    complete fan, by Bott's residue formula: the sum over the maximal cones
+    sigma of prod_D D|sigma / e(sigma) (see `_restrict`), added by
+    `localization_sum`.  A ray outside the fan adds nothing."""
+    if len(divisors) != fan.rank:
+        raise DomainError("degree mismatch")
+    return localization_sum((prod(values), euler)
+                            for euler, values in _restrict(fan, divisors))
+
+
 def _subset_label(subset):
     return "x" + "".join(str(i) for i in sorted(subset))
 
@@ -349,7 +432,8 @@ def permutohedral_fan(n):
     S_1 < ... < S_n, S_k = {p_1..p_k} for a permutation p, in which S_k's
     dual functional is e_(p_k) - e_(p_(k+1)).
     """
-    # (n+1)! maximal cones: n = 7 peaks near 154 MB, n = 8 near 1.3 GB.
+    # (n+1)! maximal cones: n = 7 peaks near 65 MB, and n = 8 has nine
+    # times as many.
     if n > 8:
         raise DomainError(f"permutohedral fan needs n <= 8, got n = {n}")
     if n < 1:
@@ -397,27 +481,17 @@ def mu_generic(n):
     """Bidegrees of the coordinate-inversion graph over projective n-space:
     mu_i integrates H1^(n-i) H2^i over the permutohedral fan.
 
-    The powers H1^k are built once for k = 0..n, then each is multiplied
-    by H2: n + n(n+1)/2 multiplies in all."""
-    # The multiplies, not the fan, are what cost: n = 6 takes some 17 s
-    # and 0.5 GB, and each further n multiplies the cones by n + 2.
-    if n > 6:
-        raise DomainError(f"mu_generic needs n <= 6, got n = {n}")
+    By `localized_integral`'s route: H1 and H2 are restricted to each
+    maximal cone once, and the n + 1 degrees share the restrictions."""
+    # n = 7 takes some 2 s, and its 65 MB peak is the fan's; n = 8 would
+    # build nine times as many cones.
+    if n > 7:
+        raise DomainError(f"mu_generic needs n <= 7, got n = {n}")
     fan = permutohedral_fan(n)
-    h1, h2 = permutohedral_divisors(fan)
-    powers = [ToricClass.unit(fan)]
-    for _ in range(n):
-        powers.append(multiply_by_divisor(powers[-1], h1))
-    out = []
-    for i in range(n + 1):
-        cls = powers[n - i]
-        for _ in range(i):
-            cls = multiply_by_divisor(cls, h2)
-        value = toric_integral(cls)
-        if value.denominator != 1:
-            raise RuntimeError("non-integer multidegree")
-        out.append(value.numerator)
-    return out
+    restricted = list(_restrict(fan, permutohedral_divisors(fan)))
+    return [localization_sum((h1**(n - i) * h2**i, euler)
+                             for euler, (h1, h2) in restricted)
+            for i in range(n + 1)]
 
 
 def parse_fan(text):

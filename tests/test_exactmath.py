@@ -11,6 +11,7 @@ from cqcalc.exactmath import (
     determinant,
     interpolate,
     is_log_concave,
+    localization_sum,
     matrix_rank,
     solve_linear_system,
 )
@@ -211,3 +212,18 @@ def test_solve_linear_system_by_substitution():
                 assert all(isinstance(v, Fraction) for v in x)
                 assert [sum(a * v for a, v in zip(row, x)) for row in m] == rhs, m
     assert singular_count >= 100
+
+
+def test_localization_sum():
+    # the projective line at weights 0 and 3: the point class is 1, the
+    # unit class (0 / e at degree 0 below the dimension) is 0
+    assert localization_sum([(3, 3), (0, -3)]) == 1
+    assert localization_sum([(1, 3), (1, -3)]) == 0
+    assert localization_sum([]) == 0
+    # terms over unequal denominators: 1/2 + 1/3 + 1/6 = 1, negative e too
+    assert localization_sum([(1, 2), (-1, -3), (1, 6)]) == 1
+    assert localization_sum([(7 * 10**30, 7), (-21, -21)]) == 10**30 + 1
+    with pytest.raises(DomainError, match="zero weight"):
+        localization_sum([(1, 2), (5, 0)])
+    with pytest.raises(RuntimeError, match="non-integer localization sum 5/6"):
+        localization_sum([(1, 2), (1, 3)])

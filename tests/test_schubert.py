@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from cqcalc import quadrics, schubert
-from cqcalc.exactmath import DomainError, binomial
+from cqcalc.exactmath import DomainError, binomial, localization_sum
 from cqcalc.schubert import (
     SchubertCombination,
     flag_integral,
@@ -204,3 +204,49 @@ def test_flag_integral_past_the_table_cap():
     assert flag_integral(9, (4, 4, 4, 4, 5, 5, 5, 5)) == 288625400
     assert flag_integral(10, (5,) * 9) == 1915103977500
     assert max(schubert._integral_memo) == schubert.TABLE_VARIABLES
+
+
+def _flag_fixed_points(n, u):
+    """Bott's data on Fl_n at the weight u: per permutation w, the Euler
+    class, the product of the tangent weights u_w(i) - u_w(j) over i < j,
+    and the restriction u_w(1) + ... + u_w(n-s) of each slot s."""
+    points = []
+    for w in permutations(range(n)):
+        euler = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                euler *= u[w[i]] - u[w[j]]
+        slots = [sum(u[w[i]] for i in range(n - s)) for s in range(1, n)]
+        points.append((euler, slots))
+    return points
+
+
+def _flag_localization(points, b):
+    terms = []
+    for euler, slots in points:
+        value = 1
+        for x, exponent in zip(slots, b):
+            value *= x**exponent
+        terms.append((value, euler))
+    return localization_sum(terms)
+
+
+def test_localization_kernel_on_flag_varieties():
+    # every exponent vector with n <= 5, zeros included, at two weights
+    checked = 0
+    for n in range(2, 6):
+        powers = _flag_fixed_points(n, [3**i for i in range(n)])
+        other = _flag_fixed_points(n, [i * i + 2 * i - 5 for i in range(n)])
+        for b in _compositions(binomial(n, 2), n - 1):
+            value = flag_integral(n, b)
+            assert _flag_localization(powers, b) == value, (n, b)
+            assert _flag_localization(other, b) == value, (n, b)
+            checked += 1
+        # below the top degree the residues cancel
+        for total in (0, binomial(n, 2) - 1):
+            for b in _compositions(total, n - 1):
+                assert _flag_localization(powers, b) == 0, (n, b)
+    assert checked == 319
+    # two equal weights put a zero in some tangent weight
+    with pytest.raises(DomainError, match="zero weight"):
+        _flag_localization(_flag_fixed_points(4, [1, 2, 2, 5]), (2, 2, 2))

@@ -1,16 +1,24 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 
 from cqcalc import toric
-from cqcalc.exactmath import DomainError, determinant, is_log_concave, solve_linear_system
+from cqcalc.exactmath import (
+    DomainError,
+    determinant,
+    is_log_concave,
+    localization_sum,
+    solve_linear_system,
+)
 from cqcalc.matroid import reduced_characteristic_coefficients, uniform_matroid
 from cqcalc.toric import (
     Fan,
     ToricClass,
     format_fan,
+    localized_integral,
     multiply_by_divisor,
     mu_generic,
     parse_fan,
@@ -126,6 +134,105 @@ def test_mu_generic_values():
     assert mu_generic(2) == [1, 2, 1]
     assert mu_generic(3) == [1, 3, 3, 1]
     assert mu_generic(5) == [1, 5, 10, 10, 5, 1]
+    assert mu_generic(6) == [1, 6, 15, 20, 15, 6, 1]
+
+
+def _mu_generic_by_multiplies(n):
+    """The squarefree-rewriting route: H1^k built once for k = 0..n, then
+    each power multiplied by H2 up to the top degree."""
+    fan = permutohedral_fan(n)
+    h1, h2 = permutohedral_divisors(fan)
+    powers = [ToricClass.unit(fan)]
+    for _ in range(n):
+        powers.append(multiply_by_divisor(powers[-1], h1))
+    out = []
+    for i in range(n + 1):
+        cls = powers[n - i]
+        for _ in range(i):
+            cls = multiply_by_divisor(cls, h2)
+        out.append(toric_integral(cls))
+    return out
+
+
+def _integral_by_multiplies(fan, divisors):
+    cls = ToricClass.unit(fan)
+    for divisor in divisors:
+        cls = multiply_by_divisor(cls, divisor)
+    return toric_integral(cls)
+
+
+# The hexagon `--fan` file of the cli benchmark workload.
+HEXAGON_FILE = ("2 6 6\n1 0\n1 1\n0 1\n-1 0\n-1 -1\n0 -1\n"
+                "1 2\n2 3\n3 4\n4 5\n5 6\n6 1\n")
+
+
+def test_mu_generic_matches_multiplies():
+    for n in range(1, 6):
+        value = mu_generic(n)
+        assert value == _mu_generic_by_multiplies(n), n
+        assert all(type(x) is int for x in value)
+
+
+def test_localized_integral_matches_multiplies():
+    # seeded products of `rank` integer divisors, rays outside the fan
+    # included; a parsed copy has no pairs, so it takes the solve route
+    rng = random.Random(16)
+    fans = [permutohedral_fan(n) for n in (2, 3, 4)]
+    fans += [parse_fan(format_fan(fan)) for fan in fans]
+    fans.append(parse_fan(HEXAGON_FILE))
+    assert fans[-1].check_smooth() and fans[-1].check_complete()
+    checked = nonzero = 0
+    for fan in fans:
+        nrays = len(fan.rays)
+        for _ in range(20 if fan.rank < 4 else 10):
+            divisors = [{ray: rng.randint(-3, 3)
+                         for ray in rng.sample(range(-1, nrays + 1), rng.randint(2, 8))}
+                        for _ in range(fan.rank)]
+            value = localized_integral(fan, divisors)
+            assert value == _integral_by_multiplies(fan, divisors), divisors
+            checked += 1
+            nonzero += value != 0
+    assert checked == 120 and nonzero > 80
+
+
+def _localized_at(fan, divisors, weights):
+    return localization_sum((prod(values), euler)
+                            for euler, values in toric._restrict(fan, divisors, weights))
+
+
+def test_localized_integral_weights_and_degree():
+    fan = permutohedral_fan(3)
+    parsed = parse_fan(format_fan(fan))
+    h1, h2 = permutohedral_divisors(fan)
+    for divisors in ([h1, h1, h2], [h1, h2, h2], [{0: 2, 5: -1}, h2, {13: 1}]):
+        expected = _integral_by_multiplies(fan, divisors)
+        assert localized_integral(fan, divisors) == expected
+        assert localized_integral(parsed, divisors) == expected
+        for weights in ((1, 5, 25), (2, -7, 3)):
+            assert _localized_at(fan, divisors, weights) == expected
+            assert _localized_at(parsed, divisors, weights) == expected
+    # a weight vector on which some <m, t> vanishes
+    with pytest.raises(DomainError, match="zero weight"):
+        _localized_at(fan, [h1, h1, h2], (1, 1, 2))
+    # two rays of the first cone trade pairs: those fail `_is_dual`, so
+    # their functionals are solved, and every other ray keeps its pair
+    pairs = [_chain_pairs(fan.subsets, cone) for cone in fan.maximal_cones]
+    low, high = sorted(pairs[0])[:2]
+    pairs[0][low], pairs[0][high] = pairs[0][high], pairs[0][low]
+    swapped = Fan(fan.rank, fan.rays, fan.maximal_cones, pairs=pairs)
+    rng = random.Random(5)
+    for _ in range(5):
+        divisors = [{ray: rng.randint(-3, 3) for ray in range(len(fan.rays))} for _ in range(3)]
+        assert localized_integral(swapped, divisors) == _integral_by_multiplies(fan, divisors)
+    for divisors in ([h1, h2], [h1, h1, h2, h2], []):
+        with pytest.raises(DomainError, match="degree mismatch"):
+            localized_integral(fan, divisors)
+    with pytest.raises(DomainError, match="integer divisors"):
+        localized_integral(fan, [h1, h1, {0: Fraction(1, 2)}])
+    # the route fills neither the cone nor the dual-row caches
+    fresh = permutohedral_fan(3)
+    assert localized_integral(fresh, [h1, h1, h2]) == mu_generic(3)[1]
+    assert not fresh._cone_lookup and not fresh._dual_cache and not fresh._pair_rows
 
 
 def test_mu_generic_matches_uniform_matroid():
