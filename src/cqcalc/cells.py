@@ -33,6 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial, lcm, prod
+from operator import mul
 
 from .exactmath import DomainError, binomial, determinant
 
@@ -375,11 +376,8 @@ def cell_matrices(sigma, values):
 
 
 def _mat_mul_numeric(a, b):
-    size = len(a)
-    return tuple(
-        tuple(sum(a[r][k] * b[k][c] for k in range(size)) for c in range(size))
-        for r in range(size)
-    )
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, column)) for column in columns) for row in a)
 
 
 def verify_cell_point(sigma, values):

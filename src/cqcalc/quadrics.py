@@ -103,14 +103,6 @@ class DivisorClass:
                 coeffs[j - 1] += c
         return cls(n, coeffs)
 
-    def __add__(self, other):
-        if not isinstance(other, DivisorClass) or other.n != self.n:
-            return NotImplemented
-        return DivisorClass(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __rmul__(self, scalar):
-        return DivisorClass(self.n, [Fraction(scalar) * c for c in self.coeffs])
-
     def __eq__(self, other):
         return (
             isinstance(other, DivisorClass)

@@ -26,10 +26,15 @@ Which route answers:
     S_1 < ... < S_n of a permutation p the pair (p_k, p_{k+1});
   - otherwise (every cone of a `--fan` file), one `solve_linear_system`
     on the cone's rays;
-* smoothness: a cone whose pairs all pass that test is certified, because
-  an integer matrix inverts its rays, which forces determinant +-1; any
-  other cone (every `--fan` cone, and one whose pairs fail) is decided by
-  one `determinant`;
+* smoothness: each maximal cone keeps its ray mask, and each distinct
+  pair (a, b) two masks over all rays, built on first use: Z of the rays
+  u with u[a] - u[b] = 0 and O of those with u[a] - u[b] = 1.  A ray
+  passes the test above iff its bit is in O and the cone's other rays
+  are in Z, so a cone costs `rank` mask tests.  A cone whose pairs all
+  pass is certified, because an integer matrix inverts its rays, which
+  forces determinant +-1; any other cone (every `--fan` cone, one whose
+  pairs fail, name a coordinate outside 1..rank+1 or are not 2 * rank
+  ints) is decided by one `determinant`;
 * top-degree products of divisors (`localized_integral`, and
   `mu_generic` through the same restrictions): Bott's residue formula
   over the maximal cones, the torus fixed points.  Each ray of a cone
@@ -37,8 +42,8 @@ Which route answers:
   that passes the test above as t_a - t_b (no row is built), or else
   solved; `exactmath.localization_sum` adds the residues exactly.  No
   class is built, so no cone lookup and no dual row is cached.
-  `mu_generic` takes about 3 ms at n = 4, 25 ms at n = 5, 0.2 s at n = 6
-  and 2 s at n = 7, where its 65 MB peak is the fan's own; multiplying
+  `mu_generic` takes about 2 ms at n = 4, 12 ms at n = 5, 0.1 s at n = 6
+  and 1.1 s at n = 7, where its 70 MB peak is the fan's own; multiplying
   classes took 20 ms, 0.45 s, and some 17 s and 0.5 GB at n = 4, 5, 6.
   It refuses n > 7, since the fan at n = 8 has nine times as many cones
   as at n = 7.  `multiply_by_divisor` is its test oracle.
@@ -51,6 +56,7 @@ The permutohedral fan has one ray per proper nonempty subset S of
 and one maximal cone per maximal chain of subsets.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations
 from math import prod
@@ -73,6 +79,21 @@ def _bits(mask):
         mask ^= low
 
 
+def _flat_pairs(given, cone, order, rank):
+    """One cone's map ray -> (a, b) as a flat tuple, a and b of each ray,
+    lowest ray first; None unless the map is keyed by exactly the cone's
+    rays and the tuple is 2 * rank ints."""
+    if given is None or given.keys() != cone:
+        return None
+    try:
+        flat = sum(map(given.__getitem__, order), ())
+    except TypeError:
+        return None
+    if len(flat) != 2 * rank or not all(map(int.__instancecheck__, flat)):
+        return None
+    return flat
+
+
 def _exact(coeff):
     """A coefficient as an `int` when it is integral, else a `Fraction`."""
     coeff = Fraction(coeff)
@@ -83,8 +104,8 @@ class Fan:
     """Rational fan, assumed (and checkable) smooth and complete."""
 
     __slots__ = ("rank", "rays", "maximal_cones", "_ray_cones", "_cone_lookup",
-                 "_dual_cache", "_pair_rows", "_cone_pairs", "_padded",
-                 "ray_labels", "subsets")
+                 "_dual_cache", "_pair_rows", "_pair_masks", "_cone_pairs",
+                 "_cone_masks", "_padded", "ray_labels", "subsets")
 
     def __init__(self, rank, rays, maximal_cones, ray_labels=None, pairs=None,
                  subsets=None):
@@ -93,9 +114,9 @@ class Fan:
         functional e_a - e_b there.  a and b are coordinates 1..rank+1 of the
         quotient of Z^(rank+1) by the all-ones vector, with the last one
         dropped.  A pair is used only when its cone's map is keyed by exactly
-        the cone's rays and the pair passes `_is_dual`; otherwise the solve
-        and the determinant decide.  `subsets` labels the rays for
-        `permutohedral_divisors`."""
+        the cone's rays, maps them to 2 * rank ints in all, and the pair
+        passes `_is_dual`; otherwise the solve and the determinant decide.
+        `subsets` labels the rays for `permutohedral_divisors`."""
         self.subsets = subsets
         self.rank = rank
         self.rays = tuple(tuple(int(x) for x in r) for r in rays)
@@ -114,26 +135,29 @@ class Fan:
                 raise DomainError("cone references unknown ray")
             if len(cone) != rank:
                 raise DomainError("maximal cone must have rank many rays")
-            if given is not None and given.keys() == cone:
-                # One flat tuple per cone: a, b of each ray, lowest ray first.
-                given = sum(map(given.__getitem__, order), ())
-            else:
-                given = None
-            cones.append((order, cone, given))
+            # The rays are distinct, so the sum of their bits is their OR.
+            mask = sum(map((1).__lshift__, order))
+            cones.append((order, cone, mask, _flat_pairs(given, cone, order, rank)))
         cones.sort(key=lambda entry: entry[0])
-        self.maximal_cones = tuple(cone for _, cone, _ in cones)
-        self._cone_pairs = tuple(given for _, _, given in cones)
+        self.maximal_cones = tuple(entry[1] for entry in cones)
+        # Ray mask of each maximal cone, and its pairs (or None).
+        self._cone_masks = tuple(entry[2] for entry in cones)
+        self._cone_pairs = tuple(entry[3] for entry in cones)
         # Ray index -> bit mask of the maximal cones containing the ray.
-        self._ray_cones = [0] * len(self.rays)
-        for bit, cone in enumerate(self.maximal_cones):
+        self._ray_cones = ray_cones = [0] * len(self.rays)
+        for index, cone in enumerate(self.maximal_cones):
+            bit = 1 << index
             for i in cone:
-                self._ray_cones[i] |= 1 << bit
+                ray_cones[i] |= bit
         # Ray mask -> mask of the maximal cones containing it (0: no cone).
         self._cone_lookup = {}
         # (maximal cone index, ray) -> (dual functional, its nonzero row).
         self._dual_cache = {}
         # (a, b) -> row of e_a - e_b over every ray.
         self._pair_rows = {}
+        # (a, b) -> (Z, O), the masks of the rays u with u[a] - u[b] = 0
+        # and = 1; (0, 0) when a or b is no coordinate 1..rank+1.
+        self._pair_masks = {}
         self.ray_labels = tuple(ray_labels) if ray_labels else tuple(
             f"x{i+1}" for i in range(len(self.rays))
         )
@@ -169,9 +193,9 @@ class Fan:
         of its ray u_k, has <m_k, u_j> = delta_kj over its rays u_j, an
         integer matrix inverts the cone's, so its determinant is +-1.  Any
         other cone is decided by its determinant."""
-        for cone, pairs in zip(self.maximal_cones, self._cone_pairs):
+        for cone, mask, pairs in zip(self.maximal_cones, self._cone_masks, self._cone_pairs):
             order = sorted(cone)
-            if pairs and all(self._is_dual(cone, ray, a, b)
+            if pairs and all(self._is_dual(mask, ray, a, b)
                              for ray, a, b in zip(order, pairs[::2], pairs[1::2])):
                 continue
             if abs(determinant([self.rays[i] for i in order])) != 1:
@@ -182,13 +206,10 @@ class Fan:
         """Desk-scale completeness: there must be a maximal cone, and every
         facet of a maximal cone must be shared by exactly two of them.  A
         facet is a cone's ray mask with one ray's bit cleared."""
-        facet_count = {}
-        for cone in self.maximal_cones:
-            mask = self._ray_mask(cone)
-            for ray in cone:
-                key = mask ^ 1 << ray
-                facet_count[key] = facet_count.get(key, 0) + 1
-        if not self.maximal_cones or any(count != 2 for count in facet_count.values()):
+        facets = Counter(mask ^ 1 << ray
+                         for cone, mask in zip(self.maximal_cones, self._cone_masks)
+                         for ray in cone)
+        if not self.maximal_cones or any(count != 2 for count in facets.values()):
             raise DomainError("fan not complete")
         return True
 
@@ -212,11 +233,13 @@ class Fan:
         cached = self._dual_cache.get(key)
         if cached is None:
             cone, pairs = self.maximal_cones[parent], self._cone_pairs[parent]
+            mask = self._cone_masks[parent]
             pair = ()
             if pairs and ray_index in cone:
-                k = 2 * sorted(cone).index(ray_index)
+                # The rays of the cone below ray_index come first in pairs.
+                k = 2 * (mask & (1 << ray_index) - 1).bit_count()
                 pair = pairs[k:k + 2]
-            if pair and self._is_dual(cone, ray_index, *pair):
+            if pair and self._is_dual(mask, ray_index, *pair):
                 m, row = self._pair_dual(*pair)
             else:
                 m, row = self._solved_dual(cone, ray_index)
@@ -224,11 +247,27 @@ class Fan:
             cached = self._dual_cache[key] = (m, row)
         return cached
 
-    def _is_dual(self, cone, ray, a, b):
-        """True iff m = e_a - e_b has <m, u_j> = [j == ray] over the cone's
-        rays u_j."""
-        padded = self._padded
-        return all(padded[j][a] - padded[j][b] == (j == ray) for j in cone)
+    def _is_dual(self, mask, ray, a, b):
+        """True iff m = e_a - e_b has <m, u_j> = [j == ray] over the rays u_j
+        of the cone with ray mask `mask`, which holds `ray`: the ray is in
+        the pair's O, and every other ray of the cone in its Z."""
+        zero, one = self._pair_masks.get((a, b)) or self._pair_mask(a, b)
+        bit = 1 << ray
+        return one & bit != 0 and mask & ~zero == bit
+
+    def _pair_mask(self, a, b):
+        """(Z, O) of `_pair_masks` for the pair, built in one pass over the
+        rays."""
+        zero = one = 0
+        if 1 <= a <= self.rank + 1 and 1 <= b <= self.rank + 1:
+            for j, u in enumerate(self._padded):
+                value = u[a] - u[b]
+                if value == 0:
+                    zero |= 1 << j
+                elif value == 1:
+                    one |= 1 << j
+        masks = self._pair_masks[a, b] = (zero, one)
+        return masks
 
     def _pair_dual(self, a, b):
         """m = e_a - e_b and its row over every ray, u[b] - u[a], built once
@@ -384,9 +423,10 @@ def _restrict(fan, divisors, weights=None):
         dense.append(column)
     # (cone index, ray) -> solved m, for every ray without a passing pair.
     solved = {}
-    for index, (cone, pairs) in enumerate(zip(fan.maximal_cones, fan._cone_pairs)):
+    for index, (cone, mask, pairs) in enumerate(
+            zip(fan.maximal_cones, fan._cone_masks, fan._cone_pairs)):
         for k, ray in enumerate(sorted(cone)):
-            if not (pairs and fan._is_dual(cone, ray, pairs[2 * k], pairs[2 * k + 1])):
+            if not (pairs and fan._is_dual(mask, ray, pairs[2 * k], pairs[2 * k + 1])):
                 solved[index, ray] = fan._solved_functional(cone, ray)
     if weights is None:
         base = 2 * max((abs(c) for m in solved.values() for c in m), default=1) + 1
@@ -432,7 +472,7 @@ def permutohedral_fan(n):
     S_1 < ... < S_n, S_k = {p_1..p_k} for a permutation p, in which S_k's
     dual functional is e_(p_k) - e_(p_(k+1)).
     """
-    # (n+1)! maximal cones: n = 7 peaks near 65 MB, and n = 8 has nine
+    # (n+1)! maximal cones: n = 7 peaks near 70 MB, and n = 8 has nine
     # times as many.
     if n > 8:
         raise DomainError(f"permutohedral fan needs n <= 8, got n = {n}")
@@ -483,8 +523,8 @@ def mu_generic(n):
 
     By `localized_integral`'s route: H1 and H2 are restricted to each
     maximal cone once, and the n + 1 degrees share the restrictions."""
-    # n = 7 takes some 2 s, and its 65 MB peak is the fan's; n = 8 would
-    # build nine times as many cones.
+    # n = 7 takes about 1.1 s, and its 70 MB peak is the fan's; n = 8
+    # would build nine times as many cones.
     if n > 7:
         raise DomainError(f"mu_generic needs n <= 7, got n = {n}")
     fan = permutohedral_fan(n)

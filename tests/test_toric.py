@@ -385,9 +385,86 @@ def test_mismatched_subset_labels_fall_back_to_determinant(monkeypatch):
     assert len(calls) == len(fan.maximal_cones)
 
 
+def _scan_is_dual(fan, cone, ray, a, b):
+    """`Fan._is_dual` by walking the cone's rays."""
+    padded = fan._padded
+    return all(padded[j][a] - padded[j][b] == (j == ray) for j in cone)
+
+
+def test_mask_certificate_matches_ray_scan(monkeypatch):
+    calls = _count_determinants(monkeypatch)
+    for n in range(1, 5):
+        fan = permutohedral_fan(n)
+        coordinates = range(1, n + 2)
+        sheared = _relabelled(fan, rays=[(u[0] + sum(u[1:]), *u[1:]) for u in fan.rays])
+        subsets = list(fan.subsets)
+        random.Random(n).shuffle(subsets)
+        shuffled = _relabelled(fan, subsets=subsets)
+        # each ray of a cone takes the pair of the next ray of that cone
+        rotated_pairs = []
+        for cone in fan.maximal_cones:
+            order = sorted(cone)
+            chain = _chain_pairs(fan.subsets, cone)
+            rotated_pairs.append({ray: chain[order[(k + 1) % n]] for k, ray in enumerate(order)})
+        rotated = Fan(n, fan.rays, fan.maximal_cones, pairs=rotated_pairs)
+        # every pair is swept on the two ray sets; the copies that share
+        # the fan's rays differ only in the pairs their cones carry
+        for copy, sweep in ((fan, True), (sheared, True), (shuffled, False), (rotated, False)):
+            calls.clear()
+            uncertified = 0
+            for cone, mask, pairs in zip(copy.maximal_cones, copy._cone_masks, copy._cone_pairs):
+                assert mask == sum(1 << ray for ray in cone)
+                for ray in cone if sweep else ():
+                    for a in coordinates:
+                        for b in coordinates:
+                            assert (copy._is_dual(mask, ray, a, b)
+                                    == _scan_is_dual(copy, cone, ray, a, b)), (n, cone, ray, a, b)
+                certified = pairs is not None and all(
+                    _scan_is_dual(copy, cone, ray, a, b)
+                    for ray, a, b in zip(sorted(cone), pairs[::2], pairs[1::2]))
+                uncertified += not certified
+            assert copy.check_smooth()
+            assert len(calls) == uncertified
+        # past the line, a rotated pair is never the dual of its ray
+        assert uncertified == (len(fan.maximal_cones) if n > 1 else 0)
+
+
+def test_bad_pairs_certify_nothing(monkeypatch):
+    # a coordinate outside 1..rank+1 (0 and -1 would index the padding) or
+    # a cone whose pairs are not 2 * rank ints certifies nothing: that
+    # cone's determinant and the solve decide
+    calls = _count_determinants(monkeypatch)
+    fan = _hexagon()
+    plain = Fan(2, fan.rays, fan.maximal_cones)
+    h1, h2 = permutohedral_divisors(fan)
+    pairs = [_chain_pairs(fan.subsets, cone) for cone in fan.maximal_cones]
+    ray, (a, b) = max(pairs[0].items())
+    assert b == 3
+    bad_pairs = [(7, 1), (1, 7), (a, 0), (a, -1), (0, b), (a, 4), (a, 3.0), (a, "3"),
+                 (a, None), (a, [3]), (a,), (a, b, 1), a, [a, b]]
+    for bad in bad_pairs:
+        given = [dict(p) for p in pairs]
+        given[0][ray] = bad
+        calls.clear()
+        bad_fan = Fan(2, fan.rays, fan.maximal_cones, pairs=given)
+        assert bad_fan.check_smooth() and bad_fan.check_complete()
+        assert calls == [[fan.rays[i] for i in sorted(fan.maximal_cones[0])]], bad
+        for cone in fan.maximal_cones:
+            for j in cone:
+                assert bad_fan._dual(cone, j) == plain._dual(cone, j), (bad, cone, j)
+        assert localized_integral(bad_fan, [h1, h2]) == 2
+        if bad == (7, 1):
+            # the table keeps one entry per distinct pair, empty for this one
+            assert bad_fan._pair_masks[7, 1] == (0, 0)
+
+
 def test_incomplete_fan_detected():
     # one quadrant only
     fan = Fan(2, [(1, 0), (0, 1)], [(0, 1)])
+    with pytest.raises(DomainError, match="not complete"):
+        fan.check_complete()
+    # the facet {} of a line is shared by three cones
+    fan = Fan(1, [(1,), (-1,), (2,)], [(0,), (1,), (2,)])
     with pytest.raises(DomainError, match="not complete"):
         fan.check_complete()
     # no maximal cone at all
