@@ -27,6 +27,7 @@ and of the Euler class e of the tangent space at a chosen weight.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 class DomainError(ValueError):
@@ -84,6 +85,17 @@ def _integer_line(line, source):
         return [int(t) for t in line.split()]
     except ValueError:
         raise DomainError(f"{source} line {line.strip()!r} is not all integers")
+
+
+def integer_exponents(values):
+    """The exponents `values` as a tuple of ints, or a DomainError if one is
+    not an integer.  Anything with `__index__` counts as an integer; 3.0
+    and Fraction(3) do not."""
+    values = map(operator.index, values)
+    try:
+        return tuple(values)
+    except TypeError:
+        raise DomainError("non-integer exponent") from None
 
 
 def binomial(n, k):

@@ -36,6 +36,12 @@ layer, where a vanishing integral is a miss in its volume table and costs
 less than the bound.  The surplus nodes (some a_i >= 2) carry signed terms
 and are rewritten as before.
 
+What a node needs of its degeneration exponents a alone -- its kind, the
+first surplus slot with its lowered a, the flag factor 2^C(n,2), the zero
+slots and their set, the cut steps of the bound -- is worked out once per
+(n, a) into a `_Shape` record by `_shape`, an lru_cache that
+`clear_caches` empties; there are at most 3^(n-1) such a against many b.
+
 For n = 2 the space is the plane of binary quadrics and the same relations
 hold with S_1 = 2 L_1, so no special casing is needed.
 
@@ -62,6 +68,7 @@ from .exactmath import (
     FrozenRecord,
     UnivariatePolynomial,
     binomial,
+    integer_exponents,
     interpolate,
     solve_linear_system,
 )
@@ -121,12 +128,12 @@ class CQProduct(FrozenRecord):
     __slots__ = ("n", "a", "b")
 
     def __init__(self, n, a, b):
-        a, b = tuple(a), tuple(b)
+        a, b = integer_exponents(a), integer_exponents(b)
         if n < 2:
             raise DomainError("CQ_n needs n >= 2")
         if len(a) != n - 1 or len(b) != n - 1:
             raise DomainError(f"exponent vectors must have length {n - 1}")
-        if any(x < 0 for x in a + b):
+        if min(a + b) < 0:
             raise DomainError("negative exponent")
         super().__init__(n, a, b)
 
@@ -203,8 +210,79 @@ def clear_caches():
     layer); only useful for timing measurements.  The closed forms for phi,
     phi_c and delta keep no memo."""
     _product_memo.clear()
+    _shape.cache_clear()
     _mixed_basis_expansion.cache_clear()
     schubert.clear_caches()
+
+
+class _Shape:
+    """What a reduction node on CQ_n learns from its degeneration exponents
+    a alone; `_shape` builds one per (n, a).
+
+    kind is "surplus" (some a_i >= 2), "flag" (every a_i = 1) or "open"; a
+    field that the kind does not use is None.
+
+    * children, lowered: at the first surplus slot i, the (slot,
+      coefficient) pairs of S_i = -L_{i-1} + 2 L_i - L_{i+1}, and a with
+      a_i one less.
+    * flag_factor: 2^C(n,2), the 2^(sum of b) of a flag leaf, whose b has
+      degree C(n,2) = dim Fl_n.
+    * zero_slots, zero_set: the slots i with a_i = 0, and the X = {i + 1}
+      of `_mixed_basis_expansion`.
+    * cuts: for an open node, the steps of the longest-path bound over the
+      cut points of a, from `_cut_steps`.  The flag leaves skip the bound.
+    """
+
+    __slots__ = (
+        "kind", "children", "lowered", "flag_factor", "zero_slots", "zero_set", "cuts",
+    )
+
+    def __init__(self, kind, children, lowered, flag_factor, zero_slots, zero_set, cuts):
+        self.kind = kind
+        self.children = children
+        self.lowered = lowered
+        self.flag_factor = flag_factor
+        self.zero_slots = zero_slots
+        self.zero_set = zero_set
+        self.cuts = cuts
+
+
+def _cut_steps(n, a):
+    """The steps of `_exceeds_stratum`'s longest path over the cut points
+    of a (0, n and the i with a_i != 0), as (steps, last).
+
+    A cut point q < n has the step (p, q - 1, 2 - (q - p), squares,
+    (n - q)^2): b[p:q-1] is the block from the previous cut point p,
+    b[q-1] is b_q, and squares lists (q - c)^2 over the cut points c before
+    q.  last is (p, 2 - (n - p), squares) for the step to n, whose block is
+    b[p:].
+    """
+    points, steps = [0], []
+    for q, x in enumerate(a, 1):
+        if x:
+            p = points[-1]
+            squares = [(q - c) ** 2 for c in points]
+            steps.append((p, q - 1, 2 - q + p, squares, (n - q) ** 2))
+            points.append(q)
+    p = points[-1]
+    return steps, (p, 2 - n + p, [(n - c) ** 2 for c in points])
+
+
+@lru_cache(maxsize=None)
+def _shape(n, a):
+    """The `_Shape` of the degeneration exponents a on CQ_n."""
+    if max(a) >= 2:
+        i = 0
+        while a[i] < 2:
+            i += 1
+        children = [(j, c) for j, c in ((i - 1, -1), (i, 2), (i + 1, -1)) if 0 <= j <= n - 2]
+        lowered = a[:i] + (a[i] - 1,) + a[i + 1 :]
+        return _Shape("surplus", children, lowered, None, None, None, None)
+    if min(a) == 1:
+        return _Shape("flag", None, None, 2 ** binomial(n, 2), None, None, None)
+    zero_slots = [i for i, x in enumerate(a) if not x]
+    zero_set = frozenset([i + 1 for i in zero_slots])
+    return _Shape("open", None, None, None, zero_slots, zero_set, _cut_steps(n, a))
 
 
 def _exceeds_stratum(n, a, b):
@@ -225,24 +303,33 @@ def _exceeds_stratum(n, a, b):
     point q earns d^2 + 2 b_q (b_n = 0), and a step between neighbouring
     cut points that takes its block into T earns 2 (b summed inside the
     block) - d + 2 + 2 b_q instead.  The monomial dies when the best path
-    to n scores above n^2.
+    to n scores above n^2, and the walk stops as soon as a path that goes
+    on straight to n would.  At an open node, the only kind the reduction
+    asks, the steps come from the shape record of a; any other a has them
+    worked out afresh.
     """
-    cuts, best = [0], [0]
-    inner = q = 0
-    for x, y in zip(a + (1,), b + (0,)):
-        q += 1
-        if not x:
-            inner += y
-            continue
-        top = best[-1] + 2 * inner - (q - cuts[-1]) + 2
-        for c, v in zip(cuts, best):
-            v += (q - c) * (q - c)
+    steps, last = _shape(n, a).cuts or _cut_steps(n, a)
+    limit = n * n
+    best = [0]
+    for p, hi, rise, squares, to_n in steps:
+        # an empty block scores what the step from p scores
+        top = best[-1] + 2 * sum(b[p:hi]) + rise if p < hi else 0
+        for v, square in zip(best, squares):
+            v += square
             if v > top:
                 top = v
-        cuts.append(q)
-        best.append(top + 2 * y)
-        inner = 0
-    return best[-1] > n * n
+        top += 2 * b[hi]
+        if top + to_n > limit:
+            # the step from here straight to n already scores above n^2
+            return True
+        best.append(top)
+    p, rise, squares = last
+    top = best[-1] + 2 * sum(b[p:]) + rise if p < n - 1 else 0
+    for v, square in zip(best, squares):
+        v += square
+        if v > top:
+            top = v
+    return top > limit
 
 
 def _reduce(n, a, b, pick):
@@ -253,26 +340,23 @@ def _reduce(n, a, b, pick):
         if cached is not None:
             return cached
 
-    if max(a) >= 2:
+    shape = _shape(n, a)
+    if shape.kind == "surplus":
         # Surplus degeneration factors: trade one S_i for its L-expansion.
-        i = next(k for k, x in enumerate(a) if x >= 2)
-        new_a = a[:i] + (a[i] - 1,) + a[i + 1 :]
+        lowered = shape.lowered
         value = 0
-        for j, coeff in ((i - 1, -1), (i, 2), (i + 1, -1)):
-            if 0 <= j <= n - 2:
-                new_b = b[:j] + (b[j] + 1,) + b[j + 1 :]
-                value += coeff * _reduce(n, new_a, new_b, pick)
-    elif min(a) == 1:
+        for j, coeff in shape.children:
+            value += coeff * _reduce(n, lowered, b[:j] + (b[j] + 1,) + b[j + 1 :], pick)
+    elif shape.kind == "flag":
         # Fully degenerate locus: a flag variety, with each L_i restricting
         # to twice a Schubert divisor.  A zero here is a volume-table miss,
         # cheaper than the stratum bound.
-        value = 2 ** sum(b) * flag_integral(n, b)
+        value = shape.flag_factor * flag_integral(n, b)
     elif _exceeds_stratum(n, a, b):
         # L^b has more degree than the data it factors through on Z_A.
         value = 0
     else:
-        zero_slots = [i for i in range(n - 1) if a[i] == 0]
-        candidates = [i for i in zero_slots if b[i] > 0]
+        candidates = [i for i in shape.zero_slots if b[i] > 0]
         if not candidates:
             # Every missing degeneration direction also misses hyperplane
             # factors, and the product dies on a smaller partial-flag locus.
@@ -281,17 +365,15 @@ def _reduce(n, a, b, pick):
             value = 0
         else:
             i = candidates[0] if pick is None else pick(candidates)
-            x_set = frozenset(j + 1 for j in zero_slots)
-            denominator, expansion = _mixed_basis_expansion(n, i + 1, x_set)
+            denominator, expansion = _mixed_basis_expansion(n, i + 1, shape.zero_set)
+            lowered_b = b[:i] + (b[i] - 1,) + b[i + 1 :]
             total = 0
             for (kind, j), coeff in expansion.items():
                 if kind == "S":
-                    new_a = a[: j - 1] + (1,) + a[j:]
-                    new_b = b[:i] + (b[i] - 1,) + b[i + 1 :]
+                    new_a, new_b = a[: j - 1] + (1,) + a[j:], lowered_b
                 else:
                     new_a = a
-                    new_b = list(b)
-                    new_b[i] -= 1
+                    new_b = list(lowered_b)
                     new_b[j - 1] += 1
                     new_b = tuple(new_b)
                 total += coeff * _reduce(n, new_a, new_b, pick)

@@ -32,7 +32,7 @@ table build equal ones).
 
 from math import factorial, prod
 
-from .exactmath import DomainError, binomial
+from .exactmath import DomainError, binomial, integer_exponents
 
 # variable count -> volume table of the interval factors on that many variables
 _integral_memo = {}
@@ -191,18 +191,19 @@ def flag_integral(n, b, order=None):
     computes it with Monk's rule in that order instead, which the tests use
     as the oracle.
     """
-    b = tuple(b)
+    b = integer_exponents(b)
     if n < 2:
         raise DomainError(f"Fl_n needs n >= 2, got n={n}")
     if len(b) != n - 1:
         raise DomainError(f"need {n-1} exponents for Fl_{n}, got {b!r}")
-    if any(x < 0 for x in b):
+    low = min(b)
+    if low < 0:
         raise DomainError("negative exponent")
-    if sum(b) != binomial(n, 2):
+    if sum(b) != n * (n - 1) // 2:
         raise DomainError("degree mismatch")
     if order is not None:
         return _monk_integral(n, b, order)
-    return _weyl_integral(n, b)
+    return _weyl_integral(n, b) if low else 0
 
 
 def _volume_table(size):
@@ -233,21 +234,19 @@ def _weyl_integral(n, b):
     """(prod b_s!) [t^e] prod_{i<j} (t_i+...+t_{j-1}) / prod_{i<j} (j-i),
     where slot s carries t_{n-s}, so e is b reversed.
 
-    The n-1 single-variable factors t_i take one from every exponent (and
-    kill the integral when some exponent is 0), leaving the exponents
-    b_s - 1.  Up to Fl_6 the interval factors are those of the volume
-    table on n-1 variables, so the coefficient is one lookup: the key
-    packs the b_s - 1 straight from b, and since these sum to C(n-1,2),
-    one less than the table's base, every digit is below the base and no
-    two exponent vectors share a key; a key the table lacks has
-    coefficient 0.  The factorials come from `_FACTORIALS` and
+    The n-1 single-variable factors t_i take one from every exponent,
+    leaving the exponents b_s - 1; `flag_integral` answers 0 for a zero
+    exponent before it gets here.  Up to Fl_6 the interval factors are
+    those of the volume table on n-1 variables, so the coefficient is one
+    lookup: the key packs the b_s - 1 straight from b, and since these sum
+    to C(n-1,2), one less than the table's base, every digit is below the
+    base and no two exponent vectors share a key; a key the table lacks
+    has coefficient 0.  The factorials come from `_FACTORIALS` and
     `_FLAG_DENOMINATORS`.  A larger Fl_n takes `_dealt_count`.
     """
-    if 0 in b:
-        return 0
     size = n - 1
     if size <= TABLE_VARIABLES:
-        base = binomial(size, 2) + 1
+        base = size * (size - 1) // 2 + 1
         key = 0
         for x in b:
             key = key * base + x - 1

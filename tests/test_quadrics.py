@@ -5,7 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
-from cqcalc import quadrics
+from cqcalc import quadrics, schubert
 from cqcalc.exactmath import DomainError, UnivariatePolynomial, binomial
 from cqcalc.quadrics import (
     _mixed_basis_expansion,
@@ -141,6 +141,17 @@ def test_cq_product_validation_errors():
         CQProduct(3, (0, 0))
 
 
+def test_non_integer_exponents_are_domain_errors():
+    # checked once, when the exponent profile is built; 0.0 == 0 must not
+    # slip through, nor 3.0 reach the volume table
+    with pytest.raises(DomainError, match="non-integer exponent"):
+        integrate_monomial(3, (0, 0), (3.0, 2))
+    with pytest.raises(DomainError, match="non-integer exponent"):
+        integrate_monomial(3, (0.0, 1), (2, 2))
+    with pytest.raises(DomainError, match="non-integer exponent"):
+        CQProduct(3, (0, 0), (Fraction(3), 2))
+
+
 def test_cq2_plane():
     # CQ_2 is the plane of binary quadrics: L_1^2 = 1, and the conic class
     # S_1 = 2 L_1 makes S_1 L_1 = 2, S_1^2 = 4
@@ -273,6 +284,26 @@ def test_stratum_bound_equals_subset_check():
     assert checked == 2 + 20 + 326 + 7392 + 216002
 
 
+def _states_per_case(cases):
+    """The memo states that the reduction stores, summed over the cases
+    with n <= 4, each run on cleared caches.
+
+    The reduction asks the bound by its module name, so with the name
+    patched to False it must walk more states.  Every state of a case is
+    itself a case of these lists, so the memo of one shared run holds the
+    same states either way; hence one run per case, kept to n <= 4 to stay
+    fast.
+    """
+    total = 0
+    for case in cases:
+        if case[0] <= 4:
+            quadrics.clear_caches()
+            integrate_monomial(*case)
+            total += len(quadrics._product_memo)
+    quadrics.clear_caches()
+    return total
+
+
 def test_stratum_bound_fires_exactly_on_zeros(monkeypatch):
     # on every a in {0,1}^(n-1) and top-degree b with n <= 5, the bound
     # holds exactly where the reduction without it gives 0
@@ -283,11 +314,13 @@ def test_stratum_bound_fires_exactly_on_zeros(monkeypatch):
         for b in _compositions(cq_dimension(n) - sum(a), n - 1)
     ]
     fires = [quadrics._exceeds_stratum(n, a, b) for n, a, b in cases]
+    pruned_states = _states_per_case(cases)
     quadrics.clear_caches()
     monkeypatch.setattr(quadrics, "_exceeds_stratum", lambda n, a, b: False)
     try:
         for (n, a, b), fired in zip(cases, fires):
             assert fired == (integrate_monomial(n, a, b) == 0), (n, a, b)
+        assert _states_per_case(cases) > pruned_states
     finally:
         quadrics.clear_caches()
     assert sum(fires) and not all(fires)
@@ -304,12 +337,25 @@ def test_stratum_bound_keeps_surplus_values(monkeypatch):
     ]
     quadrics.clear_caches()
     pruned = [integrate_monomial(*case) for case in cases]
-    quadrics.clear_caches()
+    pruned_states = _states_per_case(cases)
     monkeypatch.setattr(quadrics, "_exceeds_stratum", lambda n, a, b: False)
     try:
         assert [integrate_monomial(*case) for case in cases] == pruned
+        assert _states_per_case(cases) > pruned_states
     finally:
         quadrics.clear_caches()
+
+
+def test_clear_caches_empties_every_reduction_cache():
+    quadrics.clear_caches()
+    # an open node (mixed-basis rewrite), surplus nodes and flag leaves
+    integrate_monomial(4, (2, 0, 1), (2, 3, 1))
+    caches = (quadrics._shape, quadrics._mixed_basis_expansion)
+    assert quadrics._product_memo and schubert._integral_memo
+    assert all(cache.cache_info().currsize for cache in caches)
+    quadrics.clear_caches()
+    assert not quadrics._product_memo and not schubert._integral_memo
+    assert not any(cache.cache_info().currsize for cache in caches)
 
 
 def test_cq7_product_within_reach():

@@ -79,6 +79,13 @@ def test_flag_integral_degree_mismatch():
         flag_integral(3, [4, -1])
 
 
+def test_flag_integral_rejects_non_integer_exponents():
+    with pytest.raises(DomainError, match="non-integer exponent"):
+        flag_integral(3, (1, 2.0))
+    with pytest.raises(DomainError, match="non-integer exponent"):
+        flag_integral(3, (1.5, 1.5))
+
+
 def test_flag_integral_shape_errors():
     for n in (-1, 0, 1):
         with pytest.raises(DomainError, match=rf"^Fl_n needs n >= 2, got n={n}$"):
