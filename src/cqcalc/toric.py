@@ -21,20 +21,23 @@ Which route answers:
   is all a product needs:
   - in closed form when the fan gives the ray a pair (a, b) in that cone
     and m = e_a - e_b has <m, u_j> = [j is the ray] on the cone's rays:
-    the row over every ray u is u[b] - u[a], built once per pair.  The
-    permutohedral fan gives the ray S_k of the cone of the chain
-    S_1 < ... < S_n of a permutation p the pair (p_k, p_{k+1});
+    the row over every ray u is u[b] - u[a], built once per pair.  A
+    cone's pairs are one flat tuple (a_1, b_1, ..., a_rank, b_rank),
+    lowest ray first.  The permutohedral fan gives the ray S_k of the cone
+    of the chain S_1 < ... < S_n of a permutation p the pair
+    (p_k, p_{k+1}), so its tuple is p interleaved with p_2..p_(n+1);
   - otherwise (every cone of a `--fan` file), one `solve_linear_system`
     on the cone's rays;
 * smoothness: each maximal cone keeps its ray mask, and each distinct
   pair (a, b) two masks over all rays, built on first use: Z of the rays
   u with u[a] - u[b] = 0 and O of those with u[a] - u[b] = 1.  A ray
   passes the test above iff its bit is in O and the cone's other rays
-  are in Z, so a cone costs `rank` mask tests.  A cone whose pairs all
-  pass is certified, because an integer matrix inverts its rays, which
-  forces determinant +-1; any other cone (every `--fan` cone, one whose
-  pairs fail, name a coordinate outside 1..rank+1 or are not 2 * rank
-  ints) is decided by one `determinant`;
+  are in Z, so a cone costs `rank` mask tests, made on the set bits of
+  its mask.  A cone whose pairs all pass is certified, because an
+  integer matrix inverts its rays, which forces determinant +-1; any
+  other cone (every `--fan` cone, one whose pairs fail or name a
+  coordinate outside 1..rank+1, or whose entry is not a tuple of
+  2 * rank ints) is decided by one `determinant`;
 * top-degree products of divisors (`localized_integral`, and
   `mu_generic` through the same restrictions): Bott's residue formula
   over the maximal cones, the torus fixed points.  Each ray of a cone
@@ -42,9 +45,10 @@ Which route answers:
   that passes the test above as t_a - t_b (no row is built), or else
   solved; `exactmath.localization_sum` adds the residues exactly.  No
   class is built, so no cone lookup and no dual row is cached.
-  `mu_generic` takes about 2 ms at n = 4, 12 ms at n = 5, 0.1 s at n = 6
-  and 1.1 s at n = 7, where its 70 MB peak is the fan's own; multiplying
-  classes took 20 ms, 0.45 s, and some 17 s and 0.5 GB at n = 4, 5, 6.
+  `mu_generic` takes about 1.5 ms at n = 4, 10 ms at n = 5, 0.1 s at
+  n = 6 and 1.1 s at n = 7, where its 68 MB peak is the fan's own;
+  multiplying classes took 20 ms, 0.45 s, and some 17 s and 0.5 GB at
+  n = 4, 5, 6.
   It refuses n > 7, since the fan at n = 8 has nine times as many cones
   as at n = 7.  `multiply_by_divisor` is its test oracle.
 
@@ -58,9 +62,9 @@ and one maximal cone per maximal chain of subsets.
 
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, combinations, permutations
+from itertools import combinations, permutations
 from math import prod
-from operator import or_
+from operator import itemgetter, mul
 
 from .exactmath import (
     DomainError,
@@ -79,19 +83,12 @@ def _bits(mask):
         mask ^= low
 
 
-def _flat_pairs(given, cone, order, rank):
-    """One cone's map ray -> (a, b) as a flat tuple, a and b of each ray,
-    lowest ray first; None unless the map is keyed by exactly the cone's
-    rays and the tuple is 2 * rank ints."""
-    if given is None or given.keys() != cone:
-        return None
-    try:
-        flat = sum(map(given.__getitem__, order), ())
-    except TypeError:
-        return None
-    if len(flat) != 2 * rank or not all(map(int.__instancecheck__, flat)):
-        return None
-    return flat
+def _flat_pairs(given, rank):
+    """One cone's pairs when they are a tuple of 2 * rank ints, else None."""
+    if (isinstance(given, tuple) and len(given) == 2 * rank
+            and all(map(int.__instancecheck__, given))):
+        return given
+    return None
 
 
 def _exact(coeff):
@@ -110,13 +107,14 @@ class Fan:
     def __init__(self, rank, rays, maximal_cones, ray_labels=None, pairs=None,
                  subsets=None):
         """`pairs`, if given, has one entry per maximal cone, in order: None,
-        or a map from each ray of the cone to (a, b), the ray's dual
+        or the flat tuple (a_1, b_1, ..., a_rank, b_rank) that gives the
+        cone's k-th lowest ray the pair (a_k, b_k), the ray's dual
         functional e_a - e_b there.  a and b are coordinates 1..rank+1 of the
         quotient of Z^(rank+1) by the all-ones vector, with the last one
-        dropped.  A pair is used only when its cone's map is keyed by exactly
-        the cone's rays, maps them to 2 * rank ints in all, and the pair
-        passes `_is_dual`; otherwise the solve and the determinant decide.
-        `subsets` labels the rays for `permutohedral_divisors`."""
+        dropped.  A pair is used only when its cone's entry is a tuple of
+        2 * rank ints and the pair passes `_is_dual`; otherwise the solve
+        and the determinant decide.  `subsets` labels the rays for
+        `permutohedral_divisors`."""
         self.subsets = subsets
         self.rank = rank
         self.rays = tuple(tuple(int(x) for x in r) for r in rays)
@@ -126,19 +124,23 @@ class Fan:
         # rank+1), so <e_a - e_b, u> = u[a] - u[b] for a, b in 1..rank+1.
         self._padded = [(0, *ray, 0) for ray in self.rays]
         maximal_cones = list(maximal_cones)
-        pairs = [None] * len(maximal_cones) if pairs is None else pairs
+        pairs = [None] * len(maximal_cones) if pairs is None else list(pairs)
+        if len(pairs) != len(maximal_cones):
+            raise DomainError("pairs need one entry per maximal cone")
+        nrays = len(self.rays)
         cones = []
-        for cone, given in zip(maximal_cones, pairs, strict=True):
+        for cone, given in zip(maximal_cones, pairs):
             cone = frozenset(cone)
             order = sorted(cone)
-            if order and (order[0] < 0 or order[-1] >= len(self.rays)):
+            if order and (order[0] < 0 or order[-1] >= nrays):
                 raise DomainError("cone references unknown ray")
             if len(cone) != rank:
                 raise DomainError("maximal cone must have rank many rays")
             # The rays are distinct, so the sum of their bits is their OR.
             mask = sum(map((1).__lshift__, order))
-            cones.append((order, cone, mask, _flat_pairs(given, cone, order, rank)))
-        cones.sort(key=lambda entry: entry[0])
+            cones.append((order, cone, mask, _flat_pairs(given, rank)))
+        # A stable sort, so equal cones keep their given order.
+        cones.sort(key=itemgetter(0))
         self.maximal_cones = tuple(entry[1] for entry in cones)
         # Ray mask of each maximal cone, and its pairs (or None).
         self._cone_masks = tuple(entry[2] for entry in cones)
@@ -194,22 +196,37 @@ class Fan:
         integer matrix inverts the cone's, so its determinant is +-1.  Any
         other cone is decided by its determinant."""
         for cone, mask, pairs in zip(self.maximal_cones, self._cone_masks, self._cone_pairs):
-            order = sorted(cone)
-            if pairs and all(self._is_dual(mask, ray, a, b)
-                             for ray, a, b in zip(order, pairs[::2], pairs[1::2])):
-                continue
-            if abs(determinant([self.rays[i] for i in order])) != 1:
-                raise DomainError("fan not smooth")
+            if not (pairs and self._pairs_certify(mask, pairs)):
+                if abs(determinant([self.rays[i] for i in sorted(cone)])) != 1:
+                    raise DomainError("fan not smooth")
+        return True
+
+    def _pairs_certify(self, mask, pairs):
+        """True iff every ray of the cone with ray mask `mask` passes
+        `_is_dual` with its pair in the flat tuple `pairs`: the same test,
+        made inline on the set bits of the mask, lowest ray first."""
+        pair_masks = self._pair_masks
+        rest, k = mask, 0
+        while rest:
+            bit = rest & -rest
+            try:
+                zero, one = pair_masks[pairs[k], pairs[k + 1]]
+            except KeyError:
+                zero, one = self._pair_mask(pairs[k], pairs[k + 1])
+            if not one & bit or mask & ~zero != bit:
+                return False
+            rest ^= bit
+            k += 2
         return True
 
     def check_complete(self):
         """Desk-scale completeness: there must be a maximal cone, and every
         facet of a maximal cone must be shared by exactly two of them.  A
         facet is a cone's ray mask with one ray's bit cleared."""
-        facets = Counter(mask ^ 1 << ray
-                         for cone, mask in zip(self.maximal_cones, self._cone_masks)
-                         for ray in cone)
-        if not self.maximal_cones or any(count != 2 for count in facets.values()):
+        facets = Counter([mask ^ 1 << ray
+                          for cone, mask in zip(self.maximal_cones, self._cone_masks)
+                          for ray in cone])
+        if not self.maximal_cones or set(facets.values()) - {2}:
             raise DomainError("fan not complete")
         return True
 
@@ -250,7 +267,8 @@ class Fan:
     def _is_dual(self, mask, ray, a, b):
         """True iff m = e_a - e_b has <m, u_j> = [j == ray] over the rays u_j
         of the cone with ray mask `mask`, which holds `ray`: the ray is in
-        the pair's O, and every other ray of the cone in its Z."""
+        the pair's O, and every other ray of the cone in its Z.
+        `_pairs_certify` makes the same test inline."""
         zero, one = self._pair_masks.get((a, b)) or self._pair_mask(a, b)
         bit = 1 << ray
         return one & bit != 0 and mask & ~zero == bit
@@ -421,30 +439,24 @@ def _restrict(fan, divisors, weights=None):
             if 0 <= ray < nrays:
                 column[ray] = d
         dense.append(column)
-    # (cone index, ray) -> solved m, for every ray without a passing pair.
+    # (cone index, k) -> the solved m of the cone's k-th lowest ray, for
+    # each ray whose pair does not pass.
     solved = {}
     for index, (cone, mask, pairs) in enumerate(
             zip(fan.maximal_cones, fan._cone_masks, fan._cone_pairs)):
         for k, ray in enumerate(sorted(cone)):
             if not (pairs and fan._is_dual(mask, ray, pairs[2 * k], pairs[2 * k + 1])):
-                solved[index, ray] = fan._solved_functional(cone, ray)
+                solved[index, k] = fan._solved_functional(cone, ray)
     if weights is None:
         base = 2 * max((abs(c) for m in solved.values() for c in m), default=1) + 1
         weights = [base**i for i in range(fan.rank)]
     padded = (0, *weights, 0)
     for index, (cone, pairs) in enumerate(zip(fan.maximal_cones, fan._cone_pairs)):
-        euler = 1
-        values = [0] * len(dense)
-        for k, ray in enumerate(sorted(cone)):
-            m = solved.get((index, ray))
-            if m is None:
-                w = padded[pairs[2 * k]] - padded[pairs[2 * k + 1]]
-            else:
-                w = sum(c * x for c, x in zip(m, weights))
-            euler *= w
-            for j, column in enumerate(dense):
-                values[j] += column[ray] * w
-        yield euler, values
+        w = [padded[pairs[2 * k]] - padded[pairs[2 * k + 1]] if (index, k) not in solved
+             else sum(map(mul, solved[index, k], weights))
+             for k in range(fan.rank)]
+        order = sorted(cone)
+        yield prod(w), [sum(map(mul, map(column.__getitem__, order), w)) for column in dense]
 
 
 def localized_integral(fan, divisors):
@@ -472,32 +484,35 @@ def permutohedral_fan(n):
     S_1 < ... < S_n, S_k = {p_1..p_k} for a permutation p, in which S_k's
     dual functional is e_(p_k) - e_(p_(k+1)).
     """
-    # (n+1)! maximal cones: n = 7 peaks near 70 MB, and n = 8 has nine
+    # (n+1)! maximal cones: n = 7 peaks near 68 MB, and n = 8 has nine
     # times as many.
     if n > 8:
         raise DomainError(f"permutohedral fan needs n <= 8, got n = {n}")
     if n < 1:
         raise DomainError("need n >= 1")
-    universe = list(range(1, n + 2))
-    subsets = []
-    for size in range(1, n + 1):
-        for s in combinations(universe, size):
-            subsets.append(frozenset(s))
-    subsets.sort(key=lambda s: (len(s), sorted(s)))
-    # Subset -> ray index, the subset as a bit mask with bit e for element e.
-    ray_index = {sum(1 << e for e in s): i for i, s in enumerate(subsets)}
-
-    def quotient_vector(s):
-        last = 1 if (n + 1) in s else 0
-        return tuple((1 if i in s else 0) - last for i in range(1, n + 1))
-
-    rays = [quotient_vector(s) for s in subsets]
-    cones = [[ray_index[mask] for mask in accumulate((1 << e for e in perm[:n]), or_)]
-             for perm in permutations(universe)]
-    # One map per cone, made as the constructor reads it, so that the maps
-    # are never all held at once.
-    pairs = (dict(zip(chain, zip(perm, perm[1:])))
-             for chain, perm in zip(cones, permutations(universe)))
+    universe = range(1, n + 2)
+    # `combinations` by size gives the subsets in (size, sorted) order.
+    subsets = [frozenset(s) for size in range(1, n + 1) for s in combinations(universe, size)]
+    # Bit mask of each subset (bit e for element e), and the ray index of
+    # each subset at its mask.
+    bits = [sum(map((1).__lshift__, s)) for s in subsets]
+    ray_index = [0] * (2 << (n + 1))
+    for i, mask in enumerate(bits):
+        ray_index[mask] = i
+    rays = [tuple((i in s) - (n + 1 in s) for i in range(1, n + 1)) for s in subsets]
+    # The cone of a permutation p is its chain S_1 < ... < S_n, whose ray
+    # indices ascend as the sizes grow.  The chain of p_1..p_k extends that
+    # of p_1..p_(k-1) by the ray of S_(k-1) plus p_k.  Unused elements are
+    # taken in ascending order, so the cones come in the lexicographic
+    # order of their permutations, which is the order `Fan` keeps.
+    cones = [(ray_index[1 << e],) for e in universe]
+    for _ in range(n - 1):
+        cones = [cone + (ray_index[mask | 1 << e],)
+                 for cone in cones for mask in (bits[cone[-1]],)
+                 for e in universe if not mask >> e & 1]
+    # The pairs of the cone of p: (p_1, p_2, p_2, p_3, ..., p_n, p_(n+1)).
+    interleave = itemgetter(*(k + j for k in range(n) for j in (0, 1)))
+    pairs = list(map(interleave, permutations(universe)))
     labels = [_subset_label(s) for s in subsets]
     return Fan(n, rays, cones, ray_labels=labels, pairs=pairs, subsets=subsets)
 
@@ -523,7 +538,7 @@ def mu_generic(n):
 
     By `localized_integral`'s route: H1 and H2 are restricted to each
     maximal cone once, and the n + 1 degrees share the restrictions."""
-    # n = 7 takes about 1.1 s, and its 70 MB peak is the fan's; n = 8
+    # n = 7 takes about 1.1 s, and its 68 MB peak is the fan's; n = 8
     # would build nine times as many cones.
     if n > 7:
         raise DomainError(f"mu_generic needs n <= 7, got n = {n}")

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import prod
 
 import pytest
@@ -217,8 +217,7 @@ def test_localized_integral_weights_and_degree():
     # two rays of the first cone trade pairs: those fail `_is_dual`, so
     # their functionals are solved, and every other ray keeps its pair
     pairs = [_chain_pairs(fan.subsets, cone) for cone in fan.maximal_cones]
-    low, high = sorted(pairs[0])[:2]
-    pairs[0][low], pairs[0][high] = pairs[0][high], pairs[0][low]
+    pairs[0] = pairs[0][2:4] + pairs[0][:2] + pairs[0][4:]
     swapped = Fan(fan.rank, fan.rays, fan.maximal_cones, pairs=pairs)
     rng = random.Random(5)
     for _ in range(5):
@@ -308,15 +307,16 @@ def _count_determinants(monkeypatch):
 
 def _chain_pairs(subsets, cone):
     """The pairs of a cone whose rays' subsets form a maximal chain
-    S_1 < ... < S_n with S_k = {p_1..p_k}: S_k pairs with (p_k, p_{k+1}).
-    None for any other cone."""
+    S_1 < ... < S_n with S_k = {p_1..p_k}: S_k pairs with (p_k, p_{k+1}),
+    as one flat tuple, lowest ray first.  None for any other cone."""
     order = sorted(cone, key=lambda i: len(subsets[i]))
     chain = [frozenset(), *(subsets[i] for i in order), frozenset(range(1, len(cone) + 2))]
     steps = list(zip(chain, chain[1:]))
     if not all(below < here and len(here - below) == 1 for below, here in steps):
         return None
     perm = [min(here - below) for below, here in steps]
-    return dict(zip(order, zip(perm, perm[1:])))
+    by_ray = dict(zip(order, zip(perm, perm[1:])))
+    return sum((by_ray[ray] for ray in sorted(cone)), ())
 
 
 def _relabelled(fan, rays=None, subsets=None):
@@ -327,9 +327,56 @@ def _relabelled(fan, rays=None, subsets=None):
     return Fan(fan.rank, rays or fan.rays, fan.maximal_cones, pairs=pairs, subsets=subsets)
 
 
+def _reference_permutohedral(n):
+    """The permutohedral fan's data the slow way: subsets sorted by (size,
+    elements) and indexed by a dict, one chain per permutation, the pairs
+    of each chain from `_chain_pairs`, and the cones sorted by their rays."""
+    universe = range(1, n + 2)
+    subsets = sorted((frozenset(s) for size in range(1, n + 1)
+                      for s in combinations(universe, size)),
+                     key=lambda s: (len(s), sorted(s)))
+    index = {s: i for i, s in enumerate(subsets)}
+    cones = sorted((frozenset(index[frozenset(perm[:k])] for k in range(1, n + 1))
+                    for perm in permutations(universe)), key=sorted)
+    return {
+        "rays": tuple(tuple((i in s) - (n + 1 in s) for i in range(1, n + 1)) for s in subsets),
+        "ray_labels": tuple("x" + "".join(map(str, sorted(s))) for s in subsets),
+        "subsets": subsets,
+        "maximal_cones": tuple(cones),
+        "_cone_masks": tuple(sum(1 << i for i in cone) for cone in cones),
+        "_cone_pairs": tuple(_chain_pairs(subsets, cone) for cone in cones),
+    }
+
+
+def test_permutohedral_build_matches_reference():
+    for n in range(1, 7):
+        fan = permutohedral_fan(n)
+        for name, expected in _reference_permutohedral(n).items():
+            assert getattr(fan, name) == expected, (n, name)
+        if n > 4:
+            continue
+        # cones given out of order are sorted with their masks and pairs
+        given = list(zip(fan.maximal_cones, fan._cone_pairs))
+        random.Random(n).shuffle(given)
+        shuffled = Fan(n, fan.rays, [c for c, _ in given], pairs=[p for _, p in given])
+        assert shuffled.maximal_cones == fan.maximal_cones
+        assert shuffled._cone_masks == fan._cone_masks
+        assert shuffled._cone_pairs == fan._cone_pairs
+
+
+def test_pairs_need_one_entry_per_cone():
+    fan = _hexagon()
+    for pairs in (fan._cone_pairs[1:], fan._cone_pairs + (None,), (), iter(fan._cone_pairs[:3])):
+        with pytest.raises(DomainError, match="one entry per maximal cone"):
+            Fan(2, fan.rays, fan.maximal_cones, pairs=pairs)
+    # any iterable of the right length is read
+    again = Fan(2, fan.rays, fan.maximal_cones, pairs=iter(fan._cone_pairs))
+    assert again._cone_pairs == fan._cone_pairs
+
+
 def test_permutohedral_cones_certified_without_determinants(monkeypatch):
     calls = _count_determinants(monkeypatch)
-    for n in range(1, 6):
+    for n in range(1, 7):
         fan = permutohedral_fan(n)
         # the pairs the fan is built with are those of its subset chains
         assert _relabelled(fan)._cone_pairs == fan._cone_pairs
@@ -337,8 +384,11 @@ def test_permutohedral_cones_certified_without_determinants(monkeypatch):
         assert fan.check_smooth()
         # the certificate fills neither the cone nor the dual-row cache
         assert not fan._cone_lookup and not fan._dual_cache
+        # the fraction route would take seconds on the 5,040 cones of n = 6,
+        # so there the Bareiss kernel (unpatched, so not counted) decides
+        det = _det_by_fractions if n < 6 else determinant
         for cone in fan.maximal_cones:
-            assert abs(_det_by_fractions([list(fan.rays[i]) for i in sorted(cone)])) == 1
+            assert abs(det([list(fan.rays[i]) for i in sorted(cone)])) == 1
     assert calls == []
 
 
@@ -377,11 +427,13 @@ def test_mismatched_subset_labels_fall_back_to_determinant(monkeypatch):
     shuffled = _relabelled(fan, subsets=subsets)
     assert shuffled.check_smooth()
     assert len(calls) >= shuffled._cone_pairs.count(None) > 0
-    # pairs keyed by another cone's rays certify nothing
+    # each cone given the next cone's pairs: the tuples are kept, but a
+    # cone's pairs are the dual basis of that cone alone, so every moved
+    # tuple fails `_is_dual` and each cone takes its determinant
     calls.clear()
     pairs = [_chain_pairs(fan.subsets, cone) for cone in fan.maximal_cones]
     moved = Fan(fan.rank, fan.rays, fan.maximal_cones, pairs=pairs[1:] + pairs[:1])
-    assert moved.check_smooth() and moved._cone_pairs == (None,) * len(pairs)
+    assert moved.check_smooth() and moved._cone_pairs == tuple(pairs[1:] + pairs[:1])
     assert len(calls) == len(fan.maximal_cones)
 
 
@@ -389,6 +441,13 @@ def _scan_is_dual(fan, cone, ray, a, b):
     """`Fan._is_dual` by walking the cone's rays."""
     padded = fan._padded
     return all(padded[j][a] - padded[j][b] == (j == ray) for j in cone)
+
+
+def _certified_by_is_dual(fan, cone, mask, pairs):
+    """`Fan._pairs_certify` by one `Fan._is_dual` call per ray."""
+    return pairs is not None and all(
+        fan._is_dual(mask, ray, a, b)
+        for ray, a, b in zip(sorted(cone), pairs[::2], pairs[1::2]))
 
 
 def test_mask_certificate_matches_ray_scan(monkeypatch):
@@ -403,9 +462,8 @@ def test_mask_certificate_matches_ray_scan(monkeypatch):
         # each ray of a cone takes the pair of the next ray of that cone
         rotated_pairs = []
         for cone in fan.maximal_cones:
-            order = sorted(cone)
             chain = _chain_pairs(fan.subsets, cone)
-            rotated_pairs.append({ray: chain[order[(k + 1) % n]] for k, ray in enumerate(order)})
+            rotated_pairs.append(chain[2:] + chain[:2])
         rotated = Fan(n, fan.rays, fan.maximal_cones, pairs=rotated_pairs)
         # every pair is swept on the two ray sets; the copies that share
         # the fan's rays differ only in the pairs their cones carry
@@ -422,6 +480,9 @@ def test_mask_certificate_matches_ray_scan(monkeypatch):
                 certified = pairs is not None and all(
                     _scan_is_dual(copy, cone, ray, a, b)
                     for ray, a, b in zip(sorted(cone), pairs[::2], pairs[1::2]))
+                # the inline walk of check_smooth keeps the predicate of _is_dual
+                assert (pairs is not None and copy._pairs_certify(mask, pairs)) == certified
+                assert _certified_by_is_dual(copy, cone, mask, pairs) == certified
                 uncertified += not certified
             assert copy.check_smooth()
             assert len(calls) == uncertified
@@ -430,30 +491,40 @@ def test_mask_certificate_matches_ray_scan(monkeypatch):
 
 
 def test_bad_pairs_certify_nothing(monkeypatch):
-    # a coordinate outside 1..rank+1 (0 and -1 would index the padding) or
-    # a cone whose pairs are not 2 * rank ints certifies nothing: that
+    # a coordinate outside 1..rank+1 (0 and -1 would index the padding), or
+    # an entry that is not a tuple of 2 * rank ints, certifies nothing: that
     # cone's determinant and the solve decide
     calls = _count_determinants(monkeypatch)
     fan = _hexagon()
     plain = Fan(2, fan.rays, fan.maximal_cones)
     h1, h2 = permutohedral_divisors(fan)
     pairs = [_chain_pairs(fan.subsets, cone) for cone in fan.maximal_cones]
-    ray, (a, b) = max(pairs[0].items())
+    # the pair of the first cone's highest ray is replaced
+    head, (a, b) = pairs[0][:2], pairs[0][2:]
     assert b == 3
-    bad_pairs = [(7, 1), (1, 7), (a, 0), (a, -1), (0, b), (a, 4), (a, 3.0), (a, "3"),
-                 (a, None), (a, [3]), (a,), (a, b, 1), a, [a, b]]
-    for bad in bad_pairs:
-        given = [dict(p) for p in pairs]
-        given[0][ray] = bad
+    tails = [(7, 1), (1, 7), (a, 0), (a, -1), (0, b), (a, 4), (a, 3.0), (a, "3"),
+             (a, None), (a, [3]), (a,), (a, b, 1), ((a, b),), (a, (b,))]
+    bad_entries = [head + tail for tail in tails]
+    # a list, a nested tuple, the map from ray to pair, a bare int, a str
+    bad_entries += [list(pairs[0]), (head, (a, b)),
+                    dict(zip(sorted(fan.maximal_cones[0]), (head, (a, b)))),
+                    a, str(pairs[0])]
+    for bad in bad_entries:
+        given = list(pairs)
+        given[0] = bad
         calls.clear()
         bad_fan = Fan(2, fan.rays, fan.maximal_cones, pairs=given)
         assert bad_fan.check_smooth() and bad_fan.check_complete()
         assert calls == [[fan.rays[i] for i in sorted(fan.maximal_cones[0])]], bad
+        kept, mask = bad_fan._cone_pairs[0], bad_fan._cone_masks[0]
+        if kept is not None:
+            assert not bad_fan._pairs_certify(mask, kept), bad
+            assert not _certified_by_is_dual(bad_fan, fan.maximal_cones[0], mask, kept), bad
         for cone in fan.maximal_cones:
             for j in cone:
                 assert bad_fan._dual(cone, j) == plain._dual(cone, j), (bad, cone, j)
         assert localized_integral(bad_fan, [h1, h2]) == 2
-        if bad == (7, 1):
+        if bad == head + (7, 1):
             # the table keeps one entry per distinct pair, empty for this one
             assert bad_fan._pair_masks[7, 1] == (0, 0)
 
