@@ -547,13 +547,7 @@ def phi_polynomial(d):
     n0 = 2
     while binomial(n0 + 1, 2) < d:
         n0 += 1
-    sample_ns = list(range(n0, n0 + d))
-    check_n = n0 + d
-    values = [phi(n, d) for n in sample_ns + [check_n]]
-    poly = interpolate(list(zip(sample_ns, values[:-1])))
-    if poly(check_n) != values[-1]:
-        raise DomainError("polynomiality check failed")
-    return poly
+    return _sampled_polynomial(lambda n: phi(n, d), n0, d)
 
 
 def delta_polynomial(m, s):
@@ -564,13 +558,19 @@ def delta_polynomial(m, s):
     n0 = max(2, s + 1)
     while binomial(n0 + 1, 2) <= m:
         n0 += 1
-    sample_ns = list(range(n0, n0 + m + 1))
-    check_n = n0 + m + 1
-    values = [delta(m, n, n - s) for n in sample_ns + [check_n]]
-    poly = interpolate(list(zip(sample_ns, values[:-1])))
-    if poly(check_n) != values[-1]:
-        raise DomainError("polynomiality check failed")
+    poly = _sampled_polynomial(lambda n: delta(m, n, n - s), n0, m + 1)
     if poly(0) != 0:
+        raise DomainError("polynomiality check failed")
+    return poly
+
+
+def _sampled_polynomial(value, n0, count):
+    """The polynomial through `value` at the `count` consecutive n from n0,
+    checked against `value` at the next n; every value is taken first."""
+    ns = range(n0, n0 + count + 1)
+    values = [value(n) for n in ns]
+    poly = interpolate(list(zip(ns, values[:-1])))
+    if poly(ns[-1]) != values[-1]:
         raise DomainError("polynomiality check failed")
     return poly
 

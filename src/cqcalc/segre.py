@@ -6,20 +6,26 @@ scope); these evaluators turn them into the bidegrees mu_i / nu_i of a
 gradient-map graph and into ML-degree corrections.
 """
 
+from operator import index
+
 from .exactmath import DomainError, FrozenRecord, binomial
 
 
 class SegreData(FrozenRecord):
     """degF: degree of the polynomial; nL: projective dimension of the
     ambient subspace; mY: dimension of the base-locus scheme; s: degrees of
-    the graded Segre components s_0..s_mY."""
+    the graded Segre components s_0..s_mY.  Every field and every s_j must
+    be an integer (TypeError otherwise)."""
 
     __slots__ = ("degF", "nL", "mY", "s")
 
     def __init__(self, degF, nL, mY, s):
-        s = tuple(s)
+        degF, nL, mY = index(degF), index(nL), index(mY)
+        s = tuple(map(index, s))
         if degF < 1:
             raise DomainError("degF must be >= 1")
+        if not 0 <= mY < nL:
+            raise DomainError(f"mY must be in 0..{nL - 1}, got {mY}")
         if len(s) != mY + 1:
             raise DomainError(f"need {mY + 1} Segre degrees, got {len(s)}")
         super().__init__(degF, nL, mY, s)

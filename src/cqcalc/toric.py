@@ -16,41 +16,36 @@ Which route answers:
 * products: a class keeps its terms keyed by ray mask, and
   `multiply_by_divisor` runs on `int` coefficients, falling back to
   `Fraction` only when a class or divisor coefficient is not an integer;
+* pairs: a cone's pairs are one flat tuple (a_1, b_1, ..., a_rank,
+  b_rank), lowest ray first, naming m = e_a - e_b as the dual functional
+  of each of its rays.  The permutohedral fan gives the ray S_k of the
+  cone of the chain S_1 < ... < S_n of a permutation p the pair
+  (p_k, p_{k+1}), so its tuple is p interleaved with p_2..p_(n+1).  A
+  cone's pairs are used for all of its rays or for none: the cone is
+  certified when every pair passes <m, u_j> = [j is its ray] on the
+  cone's rays, since the pairs then invert the rays over the integers,
+  which forces determinant +-1.  Each distinct pair (a, b) keeps two
+  masks over all rays, built on first use: Z of the rays u with
+  u[a] - u[b] = 0 and O of those with u[a] - u[b] = 1, so a cone costs
+  `rank` mask tests;
+* smoothness: a certified cone needs nothing more; any other cone (every
+  `--fan` cone, one with a pair that fails or names a coordinate outside
+  1..rank+1, or whose entry is not a tuple of 2 * rank ints) is decided
+  by one `determinant`;
 * dual functionals, cached per (maximal cone, ray) with their row, the
   nonzero coefficients -<m, u_sigma> over the rays outside the cone, which
-  is all a product needs:
-  - in closed form when the fan gives the ray a pair (a, b) in that cone
-    and m = e_a - e_b has <m, u_j> = [j is the ray] on the cone's rays:
-    the row over every ray u is u[b] - u[a], built once per pair.  A
-    cone's pairs are one flat tuple (a_1, b_1, ..., a_rank, b_rank),
-    lowest ray first.  The permutohedral fan gives the ray S_k of the cone
-    of the chain S_1 < ... < S_n of a permutation p the pair
-    (p_k, p_{k+1}), so its tuple is p interleaved with p_2..p_(n+1);
-  - otherwise (every cone of a `--fan` file), one `solve_linear_system`
-    on the cone's rays;
-* smoothness: each maximal cone keeps its ray mask, and each distinct
-  pair (a, b) two masks over all rays, built on first use: Z of the rays
-  u with u[a] - u[b] = 0 and O of those with u[a] - u[b] = 1.  A ray
-  passes the test above iff its bit is in O and the cone's other rays
-  are in Z, so a cone costs `rank` mask tests, made on the set bits of
-  its mask.  A cone whose pairs all pass is certified, because an
-  integer matrix inverts its rays, which forces determinant +-1; any
-  other cone (every `--fan` cone, one whose pairs fail or name a
-  coordinate outside 1..rank+1, or whose entry is not a tuple of
-  2 * rank ints) is decided by one `determinant`;
+  is all a product needs: on a certified cone the ray's pair, whose row
+  over every ray u is u[b] - u[a], built once per pair; otherwise one
+  `solve_linear_system` on the cone's rays;
 * top-degree products of divisors (`localized_integral`, and
   `mu_generic` through the same restrictions): Bott's residue formula
   over the maximal cones, the torus fixed points.  Each ray of a cone
-  restricts to <m, t> for its dual functional m there, read off a pair
-  that passes the test above as t_a - t_b (no row is built), or else
-  solved; `exactmath.localization_sum` adds the residues exactly.  No
-  class is built, so no cone lookup and no dual row is cached.
-  `mu_generic` takes about 1.5 ms at n = 4, 10 ms at n = 5, 0.1 s at
-  n = 6 and 1.1 s at n = 7, where its 68 MB peak is the fan's own;
-  multiplying classes took 20 ms, 0.45 s, and some 17 s and 0.5 GB at
-  n = 4, 5, 6.
-  It refuses n > 7, since the fan at n = 8 has nine times as many cones
-  as at n = 7.  `multiply_by_divisor` is its test oracle.
+  restricts to <m, t> for its dual functional m there, t_a - t_b on a
+  certified cone (no row is built), or else solved;
+  `exactmath.localization_sum` adds the residues exactly.  No class is
+  built, so no cone lookup and no dual row is cached.  `mu_generic`
+  refuses n > 7, since the fan at n = 8 has nine times as many cones as
+  at n = 7.  `multiply_by_divisor` is its test oracle.
 
 Both solve and determinant are `exactmath`'s single fraction-free
 (Bareiss) integer elimination.
@@ -111,10 +106,10 @@ class Fan:
         cone's k-th lowest ray the pair (a_k, b_k), the ray's dual
         functional e_a - e_b there.  a and b are coordinates 1..rank+1 of the
         quotient of Z^(rank+1) by the all-ones vector, with the last one
-        dropped.  A pair is used only when its cone's entry is a tuple of
-        2 * rank ints and the pair passes `_is_dual`; otherwise the solve
-        and the determinant decide.  `subsets` labels the rays for
-        `permutohedral_divisors`."""
+        dropped.  A cone's pairs are used for all of its rays or for none:
+        only when its entry is a tuple of 2 * rank ints and
+        `_pairs_certify` passes it; otherwise the solve and the determinant
+        decide.  `subsets` labels the rays for `permutohedral_divisors`."""
         self.subsets = subsets
         self.rank = rank
         self.rays = tuple(tuple(int(x) for x in r) for r in rays)
@@ -196,15 +191,19 @@ class Fan:
         integer matrix inverts the cone's, so its determinant is +-1.  Any
         other cone is decided by its determinant."""
         for cone, mask, pairs in zip(self.maximal_cones, self._cone_masks, self._cone_pairs):
-            if not (pairs and self._pairs_certify(mask, pairs)):
+            if not self._pairs_certify(mask, pairs):
                 if abs(determinant([self.rays[i] for i in sorted(cone)])) != 1:
                     raise DomainError("fan not smooth")
         return True
 
     def _pairs_certify(self, mask, pairs):
-        """True iff every ray of the cone with ray mask `mask` passes
-        `_is_dual` with its pair in the flat tuple `pairs`: the same test,
-        made inline on the set bits of the mask, lowest ray first."""
+        """True iff the cone with ray mask `mask` has pairs, the flat tuple
+        `pairs`, and each pair (a, b) gives m = e_a - e_b with
+        <m, u_j> = [j is its ray] over the cone's rays: the ray's bit is in
+        the pair's O and every other ray's in its Z.  This is the only pair
+        test, so a cone's pairs are used for all of its rays or for none."""
+        if not pairs:
+            return False
         pair_masks = self._pair_masks
         rest, k = mask, 0
         while rest:
@@ -251,27 +250,15 @@ class Fan:
         if cached is None:
             cone, pairs = self.maximal_cones[parent], self._cone_pairs[parent]
             mask = self._cone_masks[parent]
-            pair = ()
-            if pairs and ray_index in cone:
+            if ray_index in cone and self._pairs_certify(mask, pairs):
                 # The rays of the cone below ray_index come first in pairs.
                 k = 2 * (mask & (1 << ray_index) - 1).bit_count()
-                pair = pairs[k:k + 2]
-            if pair and self._is_dual(mask, ray_index, *pair):
-                m, row = self._pair_dual(*pair)
+                m, row = self._pair_dual(pairs[k], pairs[k + 1])
             else:
                 m, row = self._solved_dual(cone, ray_index)
             row = tuple((sigma, c) for sigma, c in row if sigma not in cone)
             cached = self._dual_cache[key] = (m, row)
         return cached
-
-    def _is_dual(self, mask, ray, a, b):
-        """True iff m = e_a - e_b has <m, u_j> = [j == ray] over the rays u_j
-        of the cone with ray mask `mask`, which holds `ray`: the ray is in
-        the pair's O, and every other ray of the cone in its Z.
-        `_pairs_certify` makes the same test inline."""
-        zero, one = self._pair_masks.get((a, b)) or self._pair_mask(a, b)
-        bit = 1 << ray
-        return one & bit != 0 and mask & ~zero == bit
 
     def _pair_mask(self, a, b):
         """(Z, O) of `_pair_masks` for the pair, built in one pass over the
@@ -421,13 +408,14 @@ def _restrict(fan, divisors, weights=None):
 
     Ray rho of sigma restricts to <m, t> for m its dual functional in
     sigma, and e(sigma) is the product of these over the rays of sigma; a
-    ray outside sigma restricts to 0.  A ray whose pair (a, b) passes
-    `_is_dual` gives t_a - t_b (t padded with t_(rank+1) = 0); any other
-    ray's m is solved first, so that the default t = (1, K, K^2, ...) with
-    K = 2 max |m_i| + 1 makes every <m, t> nonzero (its base-K digits are
-    the entries of m).  By the localization theorem the sum of the
-    residues does not depend on t; `weights`, `rank` ints, replaces the
-    default t."""
+    ray outside sigma restricts to 0.  A cone's pairs are used for all of
+    its rays or for none: on a cone `Fan._pairs_certify` passes, the ray
+    with pair (a, b) gives t_a - t_b (t padded with t_(rank+1) = 0); on any
+    other cone every ray's m is solved first, so that the default
+    t = (1, K, K^2, ...) with K = 2 max |m_i| + 1 makes every <m, t>
+    nonzero (its base-K digits are the entries of m).  By the localization
+    theorem the sum of the residues does not depend on t; `weights`,
+    `rank` ints, replaces the default t."""
     nrays = len(fan.rays)
     dense = []
     for divisor in divisors:
@@ -439,22 +427,22 @@ def _restrict(fan, divisors, weights=None):
             if 0 <= ray < nrays:
                 column[ray] = d
         dense.append(column)
-    # (cone index, k) -> the solved m of the cone's k-th lowest ray, for
-    # each ray whose pair does not pass.
+    # Cone index -> the solved m of each of its rays, lowest first, for each
+    # cone its pairs do not certify.
     solved = {}
     for index, (cone, mask, pairs) in enumerate(
             zip(fan.maximal_cones, fan._cone_masks, fan._cone_pairs)):
-        for k, ray in enumerate(sorted(cone)):
-            if not (pairs and fan._is_dual(mask, ray, pairs[2 * k], pairs[2 * k + 1])):
-                solved[index, k] = fan._solved_functional(cone, ray)
+        if not fan._pairs_certify(mask, pairs):
+            solved[index] = [fan._solved_functional(cone, ray) for ray in sorted(cone)]
     if weights is None:
-        base = 2 * max((abs(c) for m in solved.values() for c in m), default=1) + 1
+        base = 2 * max((abs(c) for ms in solved.values() for m in ms for c in m),
+                       default=1) + 1
         weights = [base**i for i in range(fan.rank)]
     padded = (0, *weights, 0)
     for index, (cone, pairs) in enumerate(zip(fan.maximal_cones, fan._cone_pairs)):
-        w = [padded[pairs[2 * k]] - padded[pairs[2 * k + 1]] if (index, k) not in solved
-             else sum(map(mul, solved[index, k], weights))
-             for k in range(fan.rank)]
+        ms = solved.get(index)
+        w = ([padded[a] - padded[b] for a, b in zip(pairs[::2], pairs[1::2])] if ms is None
+             else [sum(map(mul, m, weights)) for m in ms])
         order = sorted(cone)
         yield prod(w), [sum(map(mul, map(column.__getitem__, order), w)) for column in dense]
 
@@ -538,8 +526,7 @@ def mu_generic(n):
 
     By `localized_integral`'s route: H1 and H2 are restricted to each
     maximal cone once, and the n + 1 degrees share the restrictions."""
-    # n = 7 takes about 1.1 s, and its 68 MB peak is the fan's; n = 8
-    # would build nine times as many cones.
+    # n = 8 would build nine times as many cones as n = 7.
     if n > 7:
         raise DomainError(f"mu_generic needs n <= 7, got n = {n}")
     fan = permutohedral_fan(n)

@@ -416,12 +416,30 @@ def test_console_script_entry_point():
     (("segre", "mu", "--data", "[1]", "--i", "1"), "must be a JSON object"),
     (("segre", "nu", "--data", '{"degF":4,"nL":2,"mY":1,"s":5}', "--i", "1"),
      "needs integers"),
+    (("segre", "mu", "--data", '{"degF":2,"nL":1,"mY":0,"s":["x"]}', "--i", "1"),
+     "needs integers"),
+    (("segre", "mu", "--data", '{"degF":2,"nL":"1","mY":0,"s":[1]}', "--i", "1"),
+     "needs integers"),
+    (("segre", "mu", "--data", '{"degF":2,"nL":1,"mY":0,"s":[1.5]}', "--i", "1"),
+     "needs integers"),
+    (("segre", "mu", "--data", '{"degF":2.5,"nL":1,"mY":0,"s":[1]}', "--i", "1"),
+     "needs integers"),
+    (("segre", "mu", "--data", '{"degF":1e400,"nL":1,"mY":0,"s":[1]}', "--i", "1"),
+     "needs integers"),
 ])
 def test_malformed_values_are_usage_errors(capsys, argv, needle):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and needle in err
+
+
+@pytest.mark.parametrize("command, my", [("mu", -5), ("nu", -1), ("mu", 1)])
+def test_segre_my_outside_range_is_domain_error(capsys, command, my):
+    data = json.dumps({"degF": 2, "nL": 1, "mY": my, "s": [0] * max(my + 1, 0)})
+    code, out, err = run_cli(capsys, "segre", command, "--data", data, "--i", "1")
+    assert code == 3 and out == ""
+    assert err == f"error: mY must be in 0..0, got {my}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,11 +1,13 @@
 """Property test of the CLI exit-code contract: on any argv drawn for the
 closed-form subcommands, `flag-integral`, the Chow-group histogram,
-`toric mu-generic` and `cells weight|param|verify`, `main` returns 0, 2 or
-3 or argparse exits with 2, and no other exception escapes.  Each value is
-passed as `--flag value` or `--flag=value`, and may be `--`."""
+`toric mu-generic`, `cells weight|param|verify` and `segre mu|nu`, `main`
+returns 0, 2 or 3 or argparse exits with 2, and no other exception
+escapes.  Each value is passed as `--flag value` or `--flag=value`, and
+may be `--`."""
 
 import contextlib
 import io
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +31,15 @@ VALUES = st.one_of(
     st.lists(ASSIGNMENT, max_size=6).map(",".join),
     st.text("xy123=,/-", max_size=12),
 )
+# Segre data: a JSON object whose fields are ints, floats, strings, null or
+# lists, one of them sometimes missing.
+SEGRE_FIELD = st.one_of(
+    st.integers(-2, 10), st.floats(), st.text("01x", max_size=3), st.none(),
+    st.lists(st.one_of(st.integers(-9, 9), st.floats(), st.text("1x", max_size=2),
+                       st.none()), max_size=4),
+)
+SEGRE_DATA = st.dictionaries(st.sampled_from(["degF", "nL", "mY", "s"]), SEGRE_FIELD,
+                             min_size=3).map(json.dumps)
 
 # Command words -> {flag: value strategy, or None for a bare flag}.
 # `product` is left out: it runs the general reduction, which has no work
@@ -48,6 +59,8 @@ FLAGS = {
     "cells weight": {"--sigma": SIGMA},
     "cells param": {"--sigma": SIGMA},
     "cells verify": {"--sigma": SIGMA, "--values": VALUES, "--random": None, "--seed": INT},
+    "segre mu": {"--data": SEGRE_DATA, "--i": INT},
+    "segre nu": {"--data": SEGRE_DATA, "--i": INT},
 }
 
 

@@ -86,6 +86,15 @@ def test_segre_data_validation_errors():
         SegreData(degF="3", nL=2, mY=0, s=(1,))
     with pytest.raises(TypeError):
         SegreData(degF=3, nL=2, mY=0)
+    # a field or Segre degree without __index__ is refused, not truncated
+    for fields in ({"nL": "2"}, {"mY": None}, {"s": ("x",)}, {"s": (1.5,)},
+                   {"degF": 2.5}, {"degF": float("inf")}, {"s": 5}):
+        with pytest.raises(TypeError):
+            SegreData(**{"degF": 3, "nL": 2, "mY": 0, "s": (1,), **fields})
+    # mY is a dimension of a subscheme of the ambient space
+    for nL, mY in ((1, -5), (2, -1), (2, 2), (1, 1)):
+        with pytest.raises(DomainError, match=rf"mY must be in 0\.\.{nL - 1}, got {mY}"):
+            SegreData(degF=3, nL=nL, mY=mY, s=(1,) * max(mY + 1, 0))
 
 
 def test_nu_from_mu_correction():

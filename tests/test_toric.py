@@ -200,7 +200,7 @@ def _localized_at(fan, divisors, weights):
                             for euler, values in toric._restrict(fan, divisors, weights))
 
 
-def test_localized_integral_weights_and_degree():
+def test_localized_integral_weights_and_degree(monkeypatch):
     fan = permutohedral_fan(3)
     parsed = parse_fan(format_fan(fan))
     h1, h2 = permutohedral_divisors(fan)
@@ -214,15 +214,24 @@ def test_localized_integral_weights_and_degree():
     # a weight vector on which some <m, t> vanishes
     with pytest.raises(DomainError, match="zero weight"):
         _localized_at(fan, [h1, h1, h2], (1, 1, 2))
-    # two rays of the first cone trade pairs: those fail `_is_dual`, so
-    # their functionals are solved, and every other ray keeps its pair
+    # two rays of the first cone trade pairs: the cone's pairs no longer
+    # certify it, so all three of its functionals are solved, there and in
+    # `_dual`, and every other cone keeps its pairs
     pairs = [_chain_pairs(fan.subsets, cone) for cone in fan.maximal_cones]
     pairs[0] = pairs[0][2:4] + pairs[0][:2] + pairs[0][4:]
     swapped = Fan(fan.rank, fan.rays, fan.maximal_cones, pairs=pairs)
+    solves = _count_calls(monkeypatch, "solve_linear_system")
     rng = random.Random(5)
     for _ in range(5):
         divisors = [{ray: rng.randint(-3, 3) for ray in range(len(fan.rays))} for _ in range(3)]
+        solves.clear()
         assert localized_integral(swapped, divisors) == _integral_by_multiplies(fan, divisors)
+        assert len(solves) == 3
+    solves.clear()
+    first = fan.maximal_cones[0]
+    for ray in first:
+        assert swapped._dual(first, ray) == fan._dual(first, ray)
+    assert len(solves) == 3
     for divisors in ([h1, h2], [h1, h1, h2, h2], []):
         with pytest.raises(DomainError, match="degree mismatch"):
             localized_integral(fan, divisors)
@@ -293,15 +302,17 @@ def test_non_smooth_fan_detected():
         fan.check_smooth()
 
 
-def _count_determinants(monkeypatch):
-    """Count the determinants `check_smooth` takes from here on."""
+def _count_calls(monkeypatch, name):
+    """The matrix of each call `toric` makes to its kernel `name` from here
+    on."""
     calls = []
+    kernel = getattr(toric, name)
 
-    def counted(matrix):
+    def counted(matrix, *rest):
         calls.append(matrix)
-        return determinant(matrix)
+        return kernel(matrix, *rest)
 
-    monkeypatch.setattr(toric, "determinant", counted)
+    monkeypatch.setattr(toric, name, counted)
     return calls
 
 
@@ -375,7 +386,7 @@ def test_pairs_need_one_entry_per_cone():
 
 
 def test_permutohedral_cones_certified_without_determinants(monkeypatch):
-    calls = _count_determinants(monkeypatch)
+    calls = _count_calls(monkeypatch, "determinant")
     for n in range(1, 7):
         fan = permutohedral_fan(n)
         # the pairs the fan is built with are those of its subset chains
@@ -393,7 +404,7 @@ def test_permutohedral_cones_certified_without_determinants(monkeypatch):
 
 
 def test_subset_labelled_fan_with_doubled_ray_not_smooth(monkeypatch):
-    calls = _count_determinants(monkeypatch)
+    calls = _count_calls(monkeypatch, "determinant")
     fan = permutohedral_fan(3)
     rays = list(fan.rays)
     rays[13] = tuple(2 * x for x in rays[13])
@@ -407,7 +418,7 @@ def test_subset_labelled_fan_with_doubled_ray_not_smooth(monkeypatch):
 
 
 def test_mismatched_subset_labels_fall_back_to_determinant(monkeypatch):
-    calls = _count_determinants(monkeypatch)
+    calls = _count_calls(monkeypatch, "determinant")
     fan = permutohedral_fan(3)
     # a unimodular shear keeps every cone a lattice basis, but moves the rays
     # off the quotient vectors of their subsets
@@ -428,8 +439,8 @@ def test_mismatched_subset_labels_fall_back_to_determinant(monkeypatch):
     assert shuffled.check_smooth()
     assert len(calls) >= shuffled._cone_pairs.count(None) > 0
     # each cone given the next cone's pairs: the tuples are kept, but a
-    # cone's pairs are the dual basis of that cone alone, so every moved
-    # tuple fails `_is_dual` and each cone takes its determinant
+    # cone's pairs are the dual basis of that cone alone, so no moved tuple
+    # certifies its cone and each cone takes its determinant
     calls.clear()
     pairs = [_chain_pairs(fan.subsets, cone) for cone in fan.maximal_cones]
     moved = Fan(fan.rank, fan.rays, fan.maximal_cones, pairs=pairs[1:] + pairs[:1])
@@ -438,20 +449,14 @@ def test_mismatched_subset_labels_fall_back_to_determinant(monkeypatch):
 
 
 def _scan_is_dual(fan, cone, ray, a, b):
-    """`Fan._is_dual` by walking the cone's rays."""
+    """Whether e_a - e_b is the dual functional of `ray` in the cone, by
+    walking the cone's rays."""
     padded = fan._padded
     return all(padded[j][a] - padded[j][b] == (j == ray) for j in cone)
 
 
-def _certified_by_is_dual(fan, cone, mask, pairs):
-    """`Fan._pairs_certify` by one `Fan._is_dual` call per ray."""
-    return pairs is not None and all(
-        fan._is_dual(mask, ray, a, b)
-        for ray, a, b in zip(sorted(cone), pairs[::2], pairs[1::2]))
-
-
 def test_mask_certificate_matches_ray_scan(monkeypatch):
-    calls = _count_determinants(monkeypatch)
+    calls = _count_calls(monkeypatch, "determinant")
     for n in range(1, 5):
         fan = permutohedral_fan(n)
         coordinates = range(1, n + 2)
@@ -470,19 +475,18 @@ def test_mask_certificate_matches_ray_scan(monkeypatch):
         for copy, sweep in ((fan, True), (sheared, True), (shuffled, False), (rotated, False)):
             calls.clear()
             uncertified = 0
+            # (Z, O) of every pair: the rays where e_a - e_b is 0 and 1
+            masks = {(a, b): copy._pair_mask(a, b) for a in coordinates for b in coordinates}
             for cone, mask, pairs in zip(copy.maximal_cones, copy._cone_masks, copy._cone_pairs):
                 assert mask == sum(1 << ray for ray in cone)
                 for ray in cone if sweep else ():
-                    for a in coordinates:
-                        for b in coordinates:
-                            assert (copy._is_dual(mask, ray, a, b)
-                                    == _scan_is_dual(copy, cone, ray, a, b)), (n, cone, ray, a, b)
+                    for (a, b), (zero, one) in masks.items():
+                        passes = one >> ray & 1 == 1 and mask & ~zero == 1 << ray
+                        assert passes == _scan_is_dual(copy, cone, ray, a, b), (n, cone, ray, a, b)
                 certified = pairs is not None and all(
                     _scan_is_dual(copy, cone, ray, a, b)
                     for ray, a, b in zip(sorted(cone), pairs[::2], pairs[1::2]))
-                # the inline walk of check_smooth keeps the predicate of _is_dual
-                assert (pairs is not None and copy._pairs_certify(mask, pairs)) == certified
-                assert _certified_by_is_dual(copy, cone, mask, pairs) == certified
+                assert copy._pairs_certify(mask, pairs) == certified
                 uncertified += not certified
             assert copy.check_smooth()
             assert len(calls) == uncertified
@@ -494,7 +498,7 @@ def test_bad_pairs_certify_nothing(monkeypatch):
     # a coordinate outside 1..rank+1 (0 and -1 would index the padding), or
     # an entry that is not a tuple of 2 * rank ints, certifies nothing: that
     # cone's determinant and the solve decide
-    calls = _count_determinants(monkeypatch)
+    calls = _count_calls(monkeypatch, "determinant")
     fan = _hexagon()
     plain = Fan(2, fan.rays, fan.maximal_cones)
     h1, h2 = permutohedral_divisors(fan)
@@ -516,10 +520,7 @@ def test_bad_pairs_certify_nothing(monkeypatch):
         bad_fan = Fan(2, fan.rays, fan.maximal_cones, pairs=given)
         assert bad_fan.check_smooth() and bad_fan.check_complete()
         assert calls == [[fan.rays[i] for i in sorted(fan.maximal_cones[0])]], bad
-        kept, mask = bad_fan._cone_pairs[0], bad_fan._cone_masks[0]
-        if kept is not None:
-            assert not bad_fan._pairs_certify(mask, kept), bad
-            assert not _certified_by_is_dual(bad_fan, fan.maximal_cones[0], mask, kept), bad
+        assert not bad_fan._pairs_certify(bad_fan._cone_masks[0], bad_fan._cone_pairs[0]), bad
         for cone in fan.maximal_cones:
             for j in cone:
                 assert bad_fan._dual(cone, j) == plain._dual(cone, j), (bad, cone, j)
