@@ -555,7 +555,17 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 3
     elapsed = time.perf_counter() - start
-    _emit(args, args.command_name, result, params, elapsed)
+    # An exact result can run past Python's default limit of 4,300 digits
+    # on str(int) (3.10.7 on); lift it while printing only, so that parsing
+    # the input keeps it.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        _emit(args, args.command_name, result, params, elapsed)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

@@ -11,9 +11,12 @@ only the locus of completely degenerate quadrics remains.  That locus is a
 complete flag variety, where the restriction of L_i is twice the Schubert
 divisor of the transposition s_{n-i} (the extra 2 comes from the rank-one
 locus sitting in its ambient space by a quadratic Veronese map), so the
-value there is 2^(sum of exponents) times a flag-variety integral, which
-`schubert.flag_integral` reads off the Weyl volume polynomial (Monk's rule
-is its test oracle).
+value there is 2^(sum of exponents) times a flag-variety integral, read
+off the Weyl volume polynomial (Monk's rule is its test oracle).  The
+reduction builds these flag leaves itself, with exponents already checked,
+so it sends them straight to `schubert._weyl_integral` rather than through
+`flag_integral`; a leaf with a 0 exponent is 0 and never reaches the
+table, whose key packing takes every exponent to be at least 1.
 
 The rewriting expands hyperplane classes in mixed bases of S's and L's.
 Their coordinates come from the closed-form inverse of the Cartan matrix
@@ -35,6 +38,16 @@ flag leaves (every a_i = 1) skip the bound: they go straight to the flag
 layer, where a vanishing integral is a miss in its volume table and costs
 less than the bound.  The surplus nodes (some a_i >= 2) carry signed terms
 and are rewritten as before.
+
+A node with exactly one a_i = 0 is the integral of L^b over the stratum
+cut out by every other S_j, which fibres over a partial flag variety with
+fibre the smallest CQ_m, CQ_2 = P^2.  It is answered in closed form, with
+no recursion and no bound (see `_one_free_slot`): there the mixed basis of
+L_{i+1} is L_{i+1} = (S_{i+1} + L_i + L_{i+2}) / 2, so the node is half
+a flag leaf plus half of two nodes of the same shape with one unit of b_i
+moved to a neighbour, and unrolled, with F the flag leaf,
+V(b) = sum over s < b_i of 2^-(s+1) sum over x + y = s of
+C(s, x) F(b - (s+1) e_i + x e_{i-1} + y e_{i+1}).
 
 What a node needs of its degeneration exponents a alone -- its kind, the
 first surplus slot with its lowered a, the flag factor 2^C(n,2), the zero
@@ -62,6 +75,7 @@ callers always read complete entries.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .exactmath import (
     DomainError,
@@ -73,7 +87,10 @@ from .exactmath import (
     solve_linear_system,
 )
 from . import schubert
-from .schubert import flag_integral
+# `flag_integral` is not called here: the reduction builds its own flag
+# leaves and sends them straight to `_weyl_integral`.  The name stays bound
+# because perfbench/tracing.py spans it.
+from .schubert import _weyl_integral, flag_integral  # noqa: F401
 
 
 def cq_dimension(n):
@@ -219,18 +236,20 @@ class _Shape:
     """What a reduction node on CQ_n learns from its degeneration exponents
     a alone; `_shape` builds one per (n, a).
 
-    kind is "surplus" (some a_i >= 2), "flag" (every a_i = 1) or "open"; a
-    field that the kind does not use is None.
+    kind is "surplus" (some a_i >= 2), "flag" (every a_i = 1), "single"
+    (exactly one a_i = 0) or "open"; a field that the kind does not use is
+    None.
 
     * children, lowered: at the first surplus slot i, the (slot,
       coefficient) pairs of S_i = -L_{i-1} + 2 L_i - L_{i+1}, and a with
       a_i one less.
     * flag_factor: 2^C(n,2), the 2^(sum of b) of a flag leaf, whose b has
-      degree C(n,2) = dim Fl_n.
-    * zero_slots, zero_set: the slots i with a_i = 0, and the X = {i + 1}
-      of `_mixed_basis_expansion`.
+      degree C(n,2) = dim Fl_n; a single node's leaves take it too.
+    * zero_slots, zero_set: the slots i with a_i = 0, and (open nodes only)
+      the X = {i + 1} of `_mixed_basis_expansion`.
     * cuts: for an open node, the steps of the longest-path bound over the
-      cut points of a, from `_cut_steps`.  The flag leaves skip the bound.
+      cut points of a, from `_cut_steps`.  Flag and single nodes skip the
+      bound.
     """
 
     __slots__ = (
@@ -281,6 +300,8 @@ def _shape(n, a):
     if min(a) == 1:
         return _Shape("flag", None, None, 2 ** binomial(n, 2), None, None, None)
     zero_slots = [i for i, x in enumerate(a) if not x]
+    if len(zero_slots) == 1:
+        return _Shape("single", None, None, 2 ** binomial(n, 2), zero_slots, None, None)
     zero_set = frozenset([i + 1 for i in zero_slots])
     return _Shape("open", None, None, None, zero_slots, zero_set, _cut_steps(n, a))
 
@@ -332,6 +353,50 @@ def _exceeds_stratum(n, a, b):
     return top > limit
 
 
+def _one_free_slot(n, i, b, flag_factor):
+    """Integer value of S^a L^b on CQ_n where a has its only 0 at slot i.
+
+    There X = {i + 1} and L_{i+1} = (S_{i+1} + L_i + L_{i+2}) / 2, so
+    V(b) = (F(b - e_i) + V(b - e_i + e_{i-1}) + V(b - e_i + e_{i+1})) / 2,
+    with F the flag leaf 2^C(n,2) times the integral over Fl_n and
+    V(b) = 0 once b_i = 0.  Unrolled, a path of s steps that moves x units
+    of b_i to slot i - 1 and y = s - x to slot i + 1 and then stops at a
+    leaf contributes C(s, x) F(b - (s+1) e_i + x e_{i-1} + y e_{i+1}) /
+    2^(s+1).  A missing neighbour (i at an end, or n = 2) keeps its share
+    at 0.  The sum is scaled by 2^(b_i) and divided once at the end.  A
+    leaf with a 0 exponent is 0 and is skipped before the table is asked.
+    """
+    top = b[i]
+    left = i > 0
+    right = i < n - 2
+    # slots i - 1, i, i + 1 change from leaf to leaf; any other 0 kills all
+    if 0 in b[: i - 1 if left else i] or 0 in b[i + 2 if right else i + 1 :]:
+        return 0
+    leaf = list(b)
+    # a neighbour at 0 must take at least one unit
+    low_x = 1 if left and not b[i - 1] else 0
+    low_y = 1 if right and not b[i + 1] else 0
+    total = 0
+    # the leaf of a path of s steps keeps b_i - s - 1 >= 1 at slot i
+    for s in range(top - 1):
+        leaf[i] = top - s - 1
+        subtotal = 0
+        # x of the s units go left and s - x right; a missing side takes none
+        for x in range(max(low_x, 0 if right else s), min(s - low_y, s if left else 0) + 1):
+            if left:
+                leaf[i - 1] = b[i - 1] + x
+            if right:
+                leaf[i + 1] = b[i + 1] + s - x
+            subtotal += comb(s, x) * _weyl_integral(n, tuple(leaf))
+        total += subtotal << (top - s - 1)
+    total *= flag_factor
+    # Every leaf is a top-degree class, so the sum is an integer.
+    value, rest = divmod(total, 1 << top)
+    if rest:
+        raise RuntimeError(f"non-integer intersection product {total}/{1 << top}")
+    return value
+
+
 def _reduce(n, a, b, pick):
     """Integer value of the top-degree monomial S^a L^b on CQ_n."""
     memoize = pick is None
@@ -351,7 +416,9 @@ def _reduce(n, a, b, pick):
         # Fully degenerate locus: a flag variety, with each L_i restricting
         # to twice a Schubert divisor.  A zero here is a volume-table miss,
         # cheaper than the stratum bound.
-        value = shape.flag_factor * flag_integral(n, b)
+        value = shape.flag_factor * _weyl_integral(n, b) if 0 not in b else 0
+    elif shape.kind == "single":
+        value = _one_free_slot(n, shape.zero_slots[0], b, shape.flag_factor)
     elif _exceeds_stratum(n, a, b):
         # L^b has more degree than the data it factors through on Z_A.
         value = 0

@@ -12,12 +12,15 @@ class of the transposition s_k) have two routes:
   dimension formula.  The coefficients are read from a volume table, built
   once per memo lifetime and kept in `_integral_memo` under its variable
   count: every coefficient of the product of the interval factors on at
-  most `TABLE_VARIABLES` = 5 variables (Fl_6), keyed by the exponent
-  vector packed as an integer.  Up to Fl_6 an integral is one lookup; on a
-  larger Fl_n the first n - 6 variables are dealt out by a forward count
-  and the last five read the table (see `_dealt_count`).  The cap keeps
-  the table small: on 6, 7 or 8 variables it would hold 7,958, 142,396 or
-  3,104,160 coefficients and take up to seconds and hundreds of MB to build;
+  most `TABLE_VARIABLES` = 6 variables (Fl_7), keyed by the exponent
+  vector packed as an integer.  Up to Fl_7 an integral is one lookup; on a
+  larger Fl_n the first n - 7 variables are dealt out by a forward count
+  and the last six read the table (see `_dealt_count`).  The tables on
+  1..6 variables hold 1, 2, 8, 55, 567 and 7,958 coefficients; the one on
+  6 takes about 7 ms to build (Python 3.11, one core of a shared 2-CPU
+  host), keeps 0.7 MB and peaks at 1.2 MB while it is built.  The cap
+  keeps that small: on 7 or 8 variables the table would hold 142,396 or
+  3,104,160 coefficients and take seconds and hundreds of MB to build;
 * with an explicit multiplication `order`, Monk's rule applied factor by
   factor, extracting the coefficient of the longest permutation.  This is
   the independent oracle the tests compare the default against.
@@ -38,10 +41,10 @@ from .exactmath import DomainError, binomial, integer_exponents
 _integral_memo = {}
 
 # largest variable count a volume table is built for
-TABLE_VARIABLES = 5
+TABLE_VARIABLES = 6
 
-# k! for every exponent up to C(6,2), the dimension of Fl_6, and
-# prod_{k<n} k! for n <= 6: the factorials of a one-lookup flag integral.
+# k! for every exponent up to C(7,2), the dimension of Fl_7, and
+# prod_{k<n} k! for n <= 7: the factorials of a one-lookup flag integral.
 _FACTORIALS = tuple(factorial(k) for k in range(binomial(TABLE_VARIABLES + 1, 2) + 1))
 _FLAG_DENOMINATORS = tuple(prod(factorial(k) for k in range(1, n))
                            for n in range(TABLE_VARIABLES + 2))
@@ -220,11 +223,15 @@ def _volume_table(size):
         table = {0: 1}
         for lo in range(size - 1):
             for hi in range(lo + 1, size):
-                steps = [base**m for m in range(lo, hi + 1)]
-                out = {}
-                for key, ways in table.items():
-                    for step in steps:
-                        out[key + step] = out.get(key + step, 0) + ways
+                # the first term shifts every key to a distinct new one
+                first = base**lo
+                out = {key + first: ways for key, ways in table.items()}
+                get = out.get
+                for m in range(lo + 1, hi + 1):
+                    step = base**m
+                    for key, ways in table.items():
+                        key += step
+                        out[key] = get(key, 0) + ways
                 table = out
         _integral_memo[size] = table
     return table
@@ -235,13 +242,14 @@ def _weyl_integral(n, b):
     where slot s carries t_{n-s}, so e is b reversed.
 
     The n-1 single-variable factors t_i take one from every exponent,
-    leaving the exponents b_s - 1; `flag_integral` answers 0 for a zero
-    exponent before it gets here.  Up to Fl_6 the interval factors are
-    those of the volume table on n-1 variables, so the coefficient is one
-    lookup: the key packs the b_s - 1 straight from b, and since these sum
-    to C(n-1,2), one less than the table's base, every digit is below the
-    base and no two exponent vectors share a key; a key the table lacks
-    has coefficient 0.  The factorials come from `_FACTORIALS` and
+    leaving the exponents b_s - 1; every caller (`flag_integral` and the
+    flag leaves of `quadrics`) answers 0 for a zero exponent before it gets
+    here, as the key packing and `_dealt_count` take each b_s - 1 >= 0.
+    Up to Fl_7 the interval factors are those of the volume table on n-1
+    variables, so the coefficient is one lookup: the key packs the b_s - 1
+    straight from b, and since these sum to C(n-1,2), one less than the
+    table's base, every digit is below the base and no two exponent
+    vectors share a key; a key the table lacks has coefficient 0.  The factorials come from `_FACTORIALS` and
     `_FLAG_DENOMINATORS`.  A larger Fl_n takes `_dealt_count`.
     """
     size = n - 1

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cqcalc import cells, cli, matroid
+from cqcalc import cells, cli, matroid, quadrics, segre
 from cqcalc.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -364,6 +364,33 @@ def test_monk_and_product(capsys):
     assert json.loads(out)["result"] == {"2,3,1": 1, "3,1,2": 1}
     code, out, _ = run_cli(capsys, "product", "--n", "3", "--a", "0,0", "--b", "5,0")
     assert out.strip() == "1"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, value", [
+    (("hypersurface-count", "--d", "1000", "--n", "400", "--b", "10"),
+     lambda: quadrics.hypersurface_characteristic_number(1000, 400, 10)),
+    (("segre", "mu", "--data", '{"degF":3,"nL":20000,"mY":0,"s":[0]}', "--i", "20000"),
+     lambda: segre.mu_from_segre(segre.SegreData(3, 20000, 0, (0,)), 20000)),
+], ids=["hypersurface-count", "segre-mu"])
+def test_results_past_the_int_digit_limit_print(capsys, argv, value, fmt):
+    # both values run past 4,300 digits, Python's default limit on str(int)
+    # and int(str) from 3.10.7 on; main lifts it for its output only
+    limited = hasattr(sys, "set_int_max_str_digits")
+    limit = sys.get_int_max_str_digits() if limited else None
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0 and err == ""
+    assert len(out) > 4300
+    if limited:
+        assert sys.get_int_max_str_digits() == limit
+        # reading the output back needs the limit lifted here too
+        sys.set_int_max_str_digits(0)
+    try:
+        got = json.loads(out)["result"] if fmt == "json" else int(out)
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(limit)
+    assert got == value()
 
 
 def test_bad_inputs_are_domain_errors(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from cqcalc import quadrics, schubert
 from cqcalc.exactmath import DomainError, UnivariatePolynomial, binomial
+from cqcalc.schubert import flag_integral
 from cqcalc.quadrics import (
     _mixed_basis_expansion,
     _psi,
@@ -348,8 +349,9 @@ def test_stratum_bound_keeps_surplus_values(monkeypatch):
 
 def test_clear_caches_empties_every_reduction_cache():
     quadrics.clear_caches()
-    # an open node (mixed-basis rewrite), surplus nodes and flag leaves
-    integrate_monomial(4, (2, 0, 1), (2, 3, 1))
+    # a surplus node, an open node with two adjacent zero slots (a
+    # mixed-basis rewrite), one-free-slot nodes and their flag leaves
+    assert integrate_monomial(4, (2, 0, 0), (2, 3, 2)) == -32
     caches = (quadrics._shape, quadrics._mixed_basis_expansion)
     assert quadrics._product_memo and schubert._integral_memo
     assert all(cache.cache_info().currsize for cache in caches)
@@ -360,6 +362,55 @@ def test_clear_caches_empties_every_reduction_cache():
 
 def test_cq7_product_within_reach():
     assert integrate_monomial(7, (0,) * 6, (4, 4, 4, 4, 4, 7)) == 55087374336
+
+
+def test_schubert_characteristic_numbers_of_quadric_surfaces():
+    # mu^(9-k) nu^k on quadric surfaces, Schubert's column (Kalkuel der
+    # abzaehlenden Geometrie, 1879); its nodes reach the one-free-slot form
+    quadrics.clear_caches()
+    column = [integrate_monomial(4, (0, 0, 0), (9 - k, k, 0)) for k in range(10)]
+    assert column == [1, 2, 4, 8, 16, 32, 56, 80, 92, 92]
+
+
+def _one_free_slot_by_recursion(n, i, b, memo):
+    """S^a L^b with a_i = 0 the only zero, by the three-term recursion
+    V(b) = (F(b - e_i) + V(b - e_i + e_{i-1}) + V(b - e_i + e_{i+1})) / 2
+    over the public `flag_integral`, with V = 0 once b_i = 0."""
+    if b not in memo:
+        if not b[i]:
+            memo[b] = 0
+        else:
+            down = b[:i] + (b[i] - 1,) + b[i + 1 :]
+            total = 2 ** binomial(n, 2) * flag_integral(n, down)
+            for j in (i - 1, i + 1):
+                if 0 <= j <= n - 2:
+                    total += _one_free_slot_by_recursion(
+                        n, i, down[:j] + (down[j] + 1,) + down[j + 1 :], memo
+                    )
+            assert total % 2 == 0, (n, i, b)
+            memo[b] = total // 2
+    return memo[b]
+
+
+def test_one_free_slot_closed_form_equals_recursion():
+    # every one-zero node with n <= 5, and a seeded sample at n = 6
+    rng = random.Random(23)
+    checked = nonzero = 0
+    for n in range(2, 7):
+        for i in range(n - 1):
+            a = tuple(0 if j == i else 1 for j in range(n - 1))
+            bs = list(_compositions(cq_dimension(n) - (n - 2), n - 1))
+            if n == 6:
+                bs = rng.sample(bs, 150)
+            memo = {}
+            for b in bs:
+                quadrics.clear_caches()
+                value = integrate_monomial(n, a, b)
+                assert value == _one_free_slot_by_recursion(n, i, b, memo), (n, a, b)
+                checked += 1
+                nonzero += value != 0
+    assert checked == 1 + 2 * 5 + 3 * 36 + 4 * 364 + 5 * 150
+    assert nonzero
 
 
 def test_duality_all_pairs_small_n():
@@ -546,6 +597,7 @@ def test_closed_forms_do_not_reduce(monkeypatch):
 
     monkeypatch.setattr(quadrics, "_reduce", refuse)
     monkeypatch.setattr(quadrics, "flag_integral", refuse)
+    monkeypatch.setattr(quadrics, "_weyl_integral", refuse)
     assert phi(7, 3) == 36
     assert phi_c(7, 3, 4) == 3 * phi(7, 4)
     assert phi_c(4, 2, 2) == 6

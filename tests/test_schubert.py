@@ -182,9 +182,10 @@ def _positive_composition(rng, total, parts):
 
 
 def test_weyl_volume_equals_monk_past_the_table():
-    # from n = 7 on the first rows are dealt forward before the volume
-    # table answers the last five variables; no exponent is 0, so no
-    # vector is answered before that path runs
+    # at n = 7 the volume table on six variables answers in one lookup;
+    # from n = 8 on the first rows are dealt forward before it answers the
+    # last six variables (`_dealt_count`); no exponent is 0, so no vector
+    # is answered before that path runs
     rng = random.Random(11)
     nonzero = 0
     for n, count in ((7, 100), (8, 10)):
@@ -201,8 +202,8 @@ def test_weyl_volume_equals_monk_past_the_table():
 def test_volume_table_sizes():
     schubert.clear_caches()
     sizes = [len(schubert._volume_table(k)) for k in range(1, schubert.TABLE_VARIABLES + 1)]
-    assert sizes == [1, 2, 8, 55, 567]
-    assert sorted(schubert._integral_memo) == [1, 2, 3, 4, 5]
+    assert sizes == [1, 2, 8, 55, 567, 7958]
+    assert sorted(schubert._integral_memo) == [1, 2, 3, 4, 5, 6]
 
 
 def test_flag_integral_past_the_table_cap():
