@@ -65,7 +65,8 @@ Lascoux coefficients (Pfaffians of the pair values, found by elimination
 and not memoized); `phi_c` expands its one L_c factor in S_1..S_{n-1}
 through the Cartan inverse, which turns it into a sum of deltas; and `phi`
 is phi_c(n, 1, d).  Only `intersection_product` and `integrate_monomial`
-reduce; on the monomials that the closed forms name, `_reduce` is their
+reduce, and they refuse n > 8, where the reduction has no bound on its
+work; on the monomials that the closed forms name, `_reduce` is their
 independent test oracle.
 
 Everything here is pure and deterministic; the memo tables are the only
@@ -457,7 +458,8 @@ def _reduce(n, a, b, pick):
 
 
 def intersection_product(product, pick=None):
-    """Exact integer value of the top intersection product on CQ_n.
+    """Exact integer value of the top intersection product on CQ_n, for
+    n <= 8.
 
     `pick` optionally overrides which eligible hyperplane slot is rewritten
     first; the result is independent of that choice (tests randomize it)
@@ -466,6 +468,9 @@ def intersection_product(product, pick=None):
     n = product.n
     if product.total_degree() != cq_dimension(n):
         raise DomainError("degree mismatch")
+    # Past CQ_8 the reduction has no bound on its work.
+    if n > 8:
+        raise DomainError(f"intersection product needs n <= 8, got n = {n}")
     return _reduce(n, product.a, product.b, pick)
 
 

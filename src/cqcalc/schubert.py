@@ -12,15 +12,18 @@ class of the transposition s_k) have two routes:
   dimension formula.  The coefficients are read from a volume table, built
   once per memo lifetime and kept in `_integral_memo` under its variable
   count: every coefficient of the product of the interval factors on at
-  most `TABLE_VARIABLES` = 6 variables (Fl_7), keyed by the exponent
-  vector packed as an integer.  Up to Fl_7 an integral is one lookup; on a
-  larger Fl_n the first n - 7 variables are dealt out by a forward count
-  and the last six read the table (see `_dealt_count`).  The tables on
-  1..6 variables hold 1, 2, 8, 55, 567 and 7,958 coefficients; the one on
-  6 takes about 7 ms to build (Python 3.11, one core of a shared 2-CPU
-  host), keeps 0.7 MB and peaks at 1.2 MB while it is built.  The cap
-  keeps that small: on 7 or 8 variables the table would hold 142,396 or
-  3,104,160 coefficients and take seconds and hundreds of MB to build;
+  most `TABLE_VARIABLES` = 7 variables (Fl_8), keyed by the exponent
+  vector packed as an integer.  Up to Fl_8 an integral is one lookup; on a
+  larger Fl_n the first n - 8 variables are dealt out by a forward count
+  and the last seven read the table (see `_dealt_count`).  The tables on
+  1..7 variables hold 1, 2, 8, 55, 567, 7,958 and 142,396 coefficients.
+  The one on 7 takes about 0.2 s to build (Python 3.11, one core of a
+  shared 2-CPU host) and keeps 14 MB, with a tracemalloc peak of 25 MB
+  and a process peak of about 43 MB, so a lone cold flag integral on Fl_8
+  or larger pays that once, against about 10 ms and 17 MB with the table
+  on six variables.  In exchange a CQ_8 product, whose leaves are Fl_8
+  integrals, reads them all from it.  On 8 variables the table would hold 3,104,160
+  coefficients and take about 20 s and 800 MB to build;
 * with an explicit multiplication `order`, Monk's rule applied factor by
   factor, extracting the coefficient of the longest permutation.  This is
   the independent oracle the tests compare the default against.
@@ -41,10 +44,10 @@ from .exactmath import DomainError, binomial, integer_exponents
 _integral_memo = {}
 
 # largest variable count a volume table is built for
-TABLE_VARIABLES = 6
+TABLE_VARIABLES = 7
 
-# k! for every exponent up to C(7,2), the dimension of Fl_7, and
-# prod_{k<n} k! for n <= 7: the factorials of a one-lookup flag integral.
+# k! for every exponent up to C(8,2), the dimension of Fl_8, and
+# prod_{k<n} k! for n <= 8: the factorials of a one-lookup flag integral.
 _FACTORIALS = tuple(factorial(k) for k in range(binomial(TABLE_VARIABLES + 1, 2) + 1))
 _FLAG_DENOMINATORS = tuple(prod(factorial(k) for k in range(1, n))
                            for n in range(TABLE_VARIABLES + 2))
@@ -245,7 +248,7 @@ def _weyl_integral(n, b):
     leaving the exponents b_s - 1; every caller (`flag_integral` and the
     flag leaves of `quadrics`) answers 0 for a zero exponent before it gets
     here, as the key packing and `_dealt_count` take each b_s - 1 >= 0.
-    Up to Fl_7 the interval factors are those of the volume table on n-1
+    Up to Fl_8 the interval factors are those of the volume table on n-1
     variables, so the coefficient is one lookup: the key packs the b_s - 1
     straight from b, and since these sum to C(n-1,2), one less than the
     table's base, every digit is below the base and no two exponent

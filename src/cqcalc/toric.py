@@ -9,10 +9,14 @@ integral rows of inverted cone matrices.
 
 Which route answers:
 
+* storage: a `Fan` keeps each maximal cone once, as the int bit mask of
+  its rays, beside its pairs; everything below reads the masks, and the
+  frozensets of `maximal_cones` are built on first read;
 * cone membership: each ray carries a bit mask of the maximal cones that
-  contain it, and a ray set, itself an int bit mask of ray indices, spans
-  a cone iff the AND of its rays' masks is nonzero (memoized per ray
-  mask); the lowest set bit is the first maximal cone containing the set;
+  contain it, built on the first lookup, and a ray set, itself an int bit
+  mask of ray indices, spans a cone iff the AND of its rays' masks is
+  nonzero (memoized per ray mask); the lowest set bit is the first maximal
+  cone containing the set;
 * products: a class keeps its terms keyed by ray mask, and
   `multiply_by_divisor` runs on `int` coefficients, falling back to
   `Fraction` only when a class or divisor coefficient is not an integer;
@@ -43,9 +47,12 @@ Which route answers:
   restricts to <m, t> for its dual functional m there, t_a - t_b on a
   certified cone (no row is built), or else solved;
   `exactmath.localization_sum` adds the residues exactly.  No class is
-  built, so no cone lookup and no dual row is cached.  `mu_generic`
-  refuses n > 7, since the fan at n = 8 has nine times as many cones as
-  at n = 7.  `multiply_by_divisor` is its test oracle.
+  built, so no cone lookup and no dual row is cached, and no per-ray cone
+  mask is built.  `mu_generic` reaches n = 8, where the fan has 362,880
+  cones: about 10 s and a 240 MB peak, reached while the fan is built,
+  against 0.8 s and 39 MB at n = 7 (Python 3.11, shared 2-CPU host);
+  `permutohedral_fan` refuses n > 8.
+  `multiply_by_divisor` is its test oracle.
 
 Both solve and determinant are `exactmath`'s single fraction-free
 (Bareiss) integer elimination.
@@ -71,19 +78,16 @@ from .exactmath import (
 
 
 def _bits(mask):
-    """Indices of the set bits of a mask, lowest first."""
+    """The indices of the set bits of a mask, lowest first, as a list; taken
+    highest first, since `bit_length` names the top bit at less cost than
+    `mask & -mask` the lowest."""
+    bits = []
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _flat_pairs(given, rank):
-    """One cone's pairs when they are a tuple of 2 * rank ints, else None."""
-    if (isinstance(given, tuple) and len(given) == 2 * rank
-            and all(map(int.__instancecheck__, given))):
-        return given
-    return None
+        top = mask.bit_length() - 1
+        bits.append(top)
+        mask ^= 1 << top
+    bits.reverse()
+    return bits
 
 
 def _exact(coeff):
@@ -93,9 +97,14 @@ def _exact(coeff):
 
 
 class Fan:
-    """Rational fan, assumed (and checkable) smooth and complete."""
+    """Rational fan, assumed (and checkable) smooth and complete.
 
-    __slots__ = ("rank", "rays", "maximal_cones", "_ray_cones", "_cone_lookup",
+    Each maximal cone is kept once, as its ray mask in `_cone_masks`
+    beside its pairs (or None) in `_cone_pairs`, ordered by sorted ray
+    indices; `maximal_cones` is built on first read, and `_ray_cones` on
+    the first cone lookup."""
+
+    __slots__ = ("rank", "rays", "_maximal_cones", "_ray_cones", "_cone_lookup",
                  "_dual_cache", "_pair_rows", "_pair_masks", "_cone_pairs",
                  "_cone_masks", "_padded", "ray_labels", "subsets")
 
@@ -112,7 +121,7 @@ class Fan:
         decide.  `subsets` labels the rays for `permutohedral_divisors`."""
         self.subsets = subsets
         self.rank = rank
-        self.rays = tuple(tuple(int(x) for x in r) for r in rays)
+        self.rays = tuple(tuple(map(int, r)) for r in rays)
         if any(len(r) != rank for r in self.rays):
             raise DomainError("ray of wrong dimension")
         # Each ray padded to coordinates 0..rank+1 (the quotient drops
@@ -125,27 +134,26 @@ class Fan:
         nrays = len(self.rays)
         cones = []
         for cone, given in zip(maximal_cones, pairs):
-            cone = frozenset(cone)
             order = sorted(cone)
             if order and (order[0] < 0 or order[-1] >= nrays):
                 raise DomainError("cone references unknown ray")
-            if len(cone) != rank:
-                raise DomainError("maximal cone must have rank many rays")
-            # The rays are distinct, so the sum of their bits is their OR.
+            # A repeated ray carries in the sum of the bits, which then has
+            # fewer than len(order) of them.
             mask = sum(map((1).__lshift__, order))
-            cones.append((order, cone, mask, _flat_pairs(given, rank)))
+            if len(order) != rank or mask.bit_count() != rank:
+                raise DomainError("maximal cone must have rank many distinct rays")
+            if not (isinstance(given, tuple) and len(given) == 2 * rank
+                    and all(map(int.__instancecheck__, given))):
+                given = None
+            cones.append((order, mask, given))
         # A stable sort, so equal cones keep their given order.
         cones.sort(key=itemgetter(0))
-        self.maximal_cones = tuple(entry[1] for entry in cones)
-        # Ray mask of each maximal cone, and its pairs (or None).
-        self._cone_masks = tuple(entry[2] for entry in cones)
-        self._cone_pairs = tuple(entry[3] for entry in cones)
-        # Ray index -> bit mask of the maximal cones containing the ray.
-        self._ray_cones = ray_cones = [0] * len(self.rays)
-        for index, cone in enumerate(self.maximal_cones):
-            bit = 1 << index
-            for i in cone:
-                ray_cones[i] |= bit
+        self._cone_masks = tuple(map(itemgetter(1), cones))
+        self._cone_pairs = tuple(map(itemgetter(2), cones))
+        self._maximal_cones = None
+        # Ray index -> bit mask of the maximal cones containing the ray,
+        # built by the first cone lookup.
+        self._ray_cones = None
         # Ray mask -> mask of the maximal cones containing it (0: no cone).
         self._cone_lookup = {}
         # (maximal cone index, ray) -> (dual functional, its nonzero row).
@@ -155,9 +163,15 @@ class Fan:
         # (a, b) -> (Z, O), the masks of the rays u with u[a] - u[b] = 0
         # and = 1; (0, 0) when a or b is no coordinate 1..rank+1.
         self._pair_masks = {}
-        self.ray_labels = tuple(ray_labels) if ray_labels else tuple(
-            f"x{i+1}" for i in range(len(self.rays))
-        )
+        self.ray_labels = tuple(ray_labels or (f"x{i+1}" for i in range(nrays)))
+
+    @property
+    def maximal_cones(self):
+        """The maximal cones as frozensets of ray indices, in the fan's
+        order, built on first read."""
+        if self._maximal_cones is None:
+            self._maximal_cones = tuple(frozenset(_bits(mask)) for mask in self._cone_masks)
+        return self._maximal_cones
 
     def _ray_mask(self, ray_set):
         """Bit mask of a ray set, or None when an index lies outside the fan
@@ -169,19 +183,33 @@ class Fan:
             mask |= 1 << i
         return mask
 
-    def _cones_containing(self, ray_mask):
-        cones = self._cone_lookup.get(ray_mask)
+    def _cones_containing(self, rays):
+        """Bit mask of the maximal cones containing a ray set, given as its
+        int ray mask or as ray indices; 0 when none does, as for an index
+        outside the fan.  Memoized per ray mask."""
+        if not isinstance(rays, int):
+            rays = self._ray_mask(rays)
+            if rays is None:
+                return 0
+        cones = self._cone_lookup.get(rays)
         if cones is None:
-            cones = (1 << len(self.maximal_cones)) - 1
-            for i in _bits(ray_mask):
-                cones &= self._ray_cones[i]
-            self._cone_lookup[ray_mask] = cones
+            if self._ray_cones is None:
+                # One bytearray per ray, read as an int once: OR-ing each
+                # cone's bit into an int would copy a growing int each time.
+                rows = [bytearray(len(self._cone_masks) + 7 >> 3) for _ in self.rays]
+                for index, mask in enumerate(self._cone_masks):
+                    for ray in _bits(mask):
+                        rows[ray][index >> 3] |= 1 << (index & 7)
+                self._ray_cones = [int.from_bytes(row, "little") for row in rows]
+            cones = (1 << len(self._cone_masks)) - 1
+            for ray in _bits(rays):
+                cones &= self._ray_cones[ray]
+            self._cone_lookup[rays] = cones
         return cones
 
     def spans_cone(self, ray_set):
         """True iff the rays span a cone of the fan (a face of a maximal cone)."""
-        mask = self._ray_mask(ray_set)
-        return mask is not None and self._cones_containing(mask) != 0
+        return self._cones_containing(ray_set) != 0
 
     def check_smooth(self):
         """Every maximal cone's rays must form a basis of the lattice.
@@ -190,10 +218,10 @@ class Fan:
         of its ray u_k, has <m_k, u_j> = delta_kj over its rays u_j, an
         integer matrix inverts the cone's, so its determinant is +-1.  Any
         other cone is decided by its determinant."""
-        for cone, mask, pairs in zip(self.maximal_cones, self._cone_masks, self._cone_pairs):
-            if not self._pairs_certify(mask, pairs):
-                if abs(determinant([self.rays[i] for i in sorted(cone)])) != 1:
-                    raise DomainError("fan not smooth")
+        for mask, pairs in zip(self._cone_masks, self._cone_pairs):
+            if (not self._pairs_certify(mask, pairs)
+                    and abs(determinant([self.rays[i] for i in _bits(mask)])) != 1):
+                raise DomainError("fan not smooth")
         return True
 
     def _pairs_certify(self, mask, pairs):
@@ -205,9 +233,12 @@ class Fan:
         if not pairs:
             return False
         pair_masks = self._pair_masks
-        rest, k = mask, 0
+        # The rays are taken highest first, so their pairs are read from the
+        # end of the tuple.
+        rest, k = mask, len(pairs)
         while rest:
-            bit = rest & -rest
+            bit = 1 << rest.bit_length() - 1
+            k -= 2
             try:
                 zero, one = pair_masks[pairs[k], pairs[k + 1]]
             except KeyError:
@@ -215,17 +246,20 @@ class Fan:
             if not one & bit or mask & ~zero != bit:
                 return False
             rest ^= bit
-            k += 2
         return True
 
     def check_complete(self):
         """Desk-scale completeness: there must be a maximal cone, and every
         facet of a maximal cone must be shared by exactly two of them.  A
         facet is a cone's ray mask with one ray's bit cleared."""
-        facets = Counter([mask ^ 1 << ray
-                          for cone, mask in zip(self.maximal_cones, self._cone_masks)
-                          for ray in cone])
-        if not self.maximal_cones or set(facets.values()) - {2}:
+        facets = []
+        for mask in self._cone_masks:
+            rest = mask
+            while rest:
+                top = 1 << rest.bit_length() - 1
+                facets.append(mask ^ top)
+                rest ^= top
+        if not self._cone_masks or set(Counter(facets).values()) - {2}:
             raise DomainError("fan not complete")
         return True
 
@@ -239,24 +273,22 @@ class Fan:
         (sigma, -<m, u_sigma>) over the rays sigma outside that maximal cone
         where the value is nonzero (inside it, m vanishes off `ray_index`).
         The subset is a ray set or its int ray mask."""
-        if not isinstance(cone_subset, int):
-            cone_subset = self._ray_mask(cone_subset)
-        cones = 0 if cone_subset is None else self._cones_containing(cone_subset)
+        cones = self._cones_containing(cone_subset)
         if not cones:
             raise DomainError("subset spans no cone")
         parent = (cones & -cones).bit_length() - 1
         key = (parent, ray_index)
         cached = self._dual_cache.get(key)
         if cached is None:
-            cone, pairs = self.maximal_cones[parent], self._cone_pairs[parent]
-            mask = self._cone_masks[parent]
-            if ray_index in cone and self._pairs_certify(mask, pairs):
+            mask, pairs = self._cone_masks[parent], self._cone_pairs[parent]
+            if 0 <= ray_index and mask >> ray_index & 1 and self._pairs_certify(mask, pairs):
                 # The rays of the cone below ray_index come first in pairs.
                 k = 2 * (mask & (1 << ray_index) - 1).bit_count()
                 m, row = self._pair_dual(pairs[k], pairs[k + 1])
             else:
-                m, row = self._solved_dual(cone, ray_index)
-            row = tuple((sigma, c) for sigma, c in row if sigma not in cone)
+                m = self._solved_functional(mask, ray_index)
+                row = [(sigma, -sum(map(mul, m, u))) for sigma, u in enumerate(self.rays)]
+            row = tuple((sigma, c) for sigma, c in row if c and not mask >> sigma & 1)
             cached = self._dual_cache[key] = (m, row)
         return cached
 
@@ -284,22 +316,16 @@ class Fan:
             ]
         return tuple((i == a) - (i == b) for i in range(1, self.rank + 1)), row
 
-    def _solved_functional(self, cone, ray_index):
-        """m from the cone's rays by one linear solve, as a tuple of ints."""
-        order = sorted(cone)
+    def _solved_functional(self, mask, ray_index):
+        """m from the rays of the cone with ray mask `mask` by one linear
+        solve, as a tuple of ints."""
+        order = _bits(mask)
         matrix = [list(self.rays[i]) for i in order]
         rhs = [1 if i == ray_index else 0 for i in order]
         m = solve_linear_system(matrix, rhs)
         if any(c.denominator != 1 for c in m):
             raise DomainError("fan not smooth")
         return tuple(c.numerator for c in m)
-
-    def _solved_dual(self, cone, ray_index):
-        """The solved m and its row over every ray."""
-        m = self._solved_functional(cone, ray_index)
-        row = ((sigma, -sum(a * b for a, b in zip(m, u)))
-               for sigma, u in enumerate(self.rays))
-        return m, [(sigma, c) for sigma, c in row if c]
 
 
 class ToricClass:
@@ -323,17 +349,13 @@ class ToricClass:
             if mask is None or not fan._cones_containing(mask):
                 raise DomainError("term does not span a cone")
             masks[mask] = masks.get(mask, 0) + coeff
-        self.fan = fan
-        self.degree = degree
-        self._terms = {k: c for k, c in masks.items() if c != 0}
+        self.fan, self.degree, self._terms = fan, degree, {k: c for k, c in masks.items() if c}
 
     @classmethod
     def _from_masks(cls, fan, degree, masks):
         """Class of ray-mask terms already known to span cones."""
         self = cls.__new__(cls)
-        self.fan = fan
-        self.degree = degree
-        self._terms = {k: c for k, c in masks.items() if c != 0}
+        self.fan, self.degree, self._terms = fan, degree, {k: c for k, c in masks.items() if c}
         return self
 
     @classmethod
@@ -354,11 +376,8 @@ class ToricClass:
 
     def __repr__(self):
         labels = self.fan.ray_labels
-        terms = self.terms
-        parts = []
-        for key in sorted(terms, key=sorted):
-            mono = "*".join(labels[i] for i in sorted(key)) or "1"
-            parts.append(f"{terms[key]}*{mono}")
+        parts = [f"{c}*{'*'.join(labels[i] for i in _bits(k)) or '1'}"
+                 for k, c in sorted(self._terms.items(), key=lambda term: _bits(term[0]))]
         return f"ToricClass({' + '.join(parts) or '0'})"
 
 
@@ -374,6 +393,7 @@ def multiply_by_divisor(cls, divisor):
     fan = cls.fan
     nrays = len(fan.rays)
     divisor = [(ray, _exact(d)) for ray, d in divisor.items() if 0 <= ray < nrays]
+    # A class with terms has had them looked up, which built `_ray_cones`.
     lookup, ray_cones, dual = fan._cone_lookup, fan._ray_cones, fan._dual
     out = {}
     for key, coeff in cls._terms.items():
@@ -417,33 +437,29 @@ def _restrict(fan, divisors, weights=None):
     theorem the sum of the residues does not depend on t; `weights`,
     `rank` ints, replaces the default t."""
     nrays = len(fan.rays)
-    dense = []
-    for divisor in divisors:
-        column = [0] * nrays
+    dense = [[0] * nrays for _ in divisors]
+    for column, divisor in zip(dense, divisors):
         for ray, d in divisor.items():
             d = _exact(d)
             if not isinstance(d, int):
                 raise DomainError("localized integral needs integer divisors")
             if 0 <= ray < nrays:
                 column[ray] = d
-        dense.append(column)
     # Cone index -> the solved m of each of its rays, lowest first, for each
     # cone its pairs do not certify.
-    solved = {}
-    for index, (cone, mask, pairs) in enumerate(
-            zip(fan.maximal_cones, fan._cone_masks, fan._cone_pairs)):
-        if not fan._pairs_certify(mask, pairs):
-            solved[index] = [fan._solved_functional(cone, ray) for ray in sorted(cone)]
+    solved = {index: [fan._solved_functional(mask, ray) for ray in _bits(mask)]
+              for index, (mask, pairs) in enumerate(zip(fan._cone_masks, fan._cone_pairs))
+              if not fan._pairs_certify(mask, pairs)}
     if weights is None:
         base = 2 * max((abs(c) for ms in solved.values() for m in ms for c in m),
                        default=1) + 1
         weights = [base**i for i in range(fan.rank)]
     padded = (0, *weights, 0)
-    for index, (cone, pairs) in enumerate(zip(fan.maximal_cones, fan._cone_pairs)):
+    for index, (mask, pairs) in enumerate(zip(fan._cone_masks, fan._cone_pairs)):
         ms = solved.get(index)
         w = ([padded[a] - padded[b] for a, b in zip(pairs[::2], pairs[1::2])] if ms is None
              else [sum(map(mul, m, weights)) for m in ms])
-        order = sorted(cone)
+        order = _bits(mask)
         yield prod(w), [sum(map(mul, map(column.__getitem__, order), w)) for column in dense]
 
 
@@ -459,10 +475,6 @@ def localized_integral(fan, divisors):
                             for euler, values in _restrict(fan, divisors))
 
 
-def _subset_label(subset):
-    return "x" + "".join(str(i) for i in sorted(subset))
-
-
 def permutohedral_fan(n):
     """Normal fan of the n-dimensional permutohedron.
 
@@ -472,8 +484,7 @@ def permutohedral_fan(n):
     S_1 < ... < S_n, S_k = {p_1..p_k} for a permutation p, in which S_k's
     dual functional is e_(p_k) - e_(p_(k+1)).
     """
-    # (n+1)! maximal cones: n = 7 peaks near 68 MB, and n = 8 has nine
-    # times as many.
+    # (n+1)! maximal cones: n = 7 peaks near 39 MB and n = 8 near 240 MB.
     if n > 8:
         raise DomainError(f"permutohedral fan needs n <= 8, got n = {n}")
     if n < 1:
@@ -501,7 +512,7 @@ def permutohedral_fan(n):
     # The pairs of the cone of p: (p_1, p_2, p_2, p_3, ..., p_n, p_(n+1)).
     interleave = itemgetter(*(k + j for k in range(n) for j in (0, 1)))
     pairs = list(map(interleave, permutations(universe)))
-    labels = [_subset_label(s) for s in subsets]
+    labels = ["x" + "".join(map(str, sorted(s))) for s in subsets]
     return Fan(n, rays, cones, ray_labels=labels, pairs=pairs, subsets=subsets)
 
 
@@ -510,14 +521,8 @@ def permutohedral_divisors(fan):
     subsets containing 1, H2 over those avoiding it."""
     if fan.subsets is None:
         raise DomainError("fan carries no subset labels")
-    h1 = {}
-    h2 = {}
-    for i, s in enumerate(fan.subsets):
-        if 1 in s:
-            h1[i] = 1
-        else:
-            h2[i] = 1
-    return h1, h2
+    h1 = {i: 1 for i, s in enumerate(fan.subsets) if 1 in s}
+    return h1, {i: 1 for i in range(len(fan.subsets)) if i not in h1}
 
 
 def mu_generic(n):
@@ -526,9 +531,6 @@ def mu_generic(n):
 
     By `localized_integral`'s route: H1 and H2 are restricted to each
     maximal cone once, and the n + 1 degrees share the restrictions."""
-    # n = 8 would build nine times as many cones as n = 7.
-    if n > 7:
-        raise DomainError(f"mu_generic needs n <= 7, got n = {n}")
     fan = permutohedral_fan(n)
     restricted = list(_restrict(fan, permutohedral_divisors(fan)))
     return [localization_sum((h1**(n - i) * h2**i, euler)
@@ -542,7 +544,7 @@ def parse_fan(text):
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise DomainError("empty fan file")
-    header = _integers(lines[0])
+    header = _integer_line(lines[0], "fan file")
     if len(header) != 3:
         raise DomainError("fan header must be 'rank #rays #cones'")
     rank, nrays, ncones = header
@@ -551,11 +553,10 @@ def parse_fan(text):
                           f"got '{rank} {nrays} {ncones}'")
     if len(lines) != 1 + nrays + ncones:
         raise DomainError("fan file line count mismatch")
-    rays = [tuple(_integers(lines[1 + i])) for i in range(nrays)]
+    rays = [tuple(_integer_line(lines[1 + i], "fan file")) for i in range(nrays)]
     cones = []
-    for i in range(ncones):
-        line = lines[1 + nrays + i]
-        indices = _integers(line)
+    for line in lines[1 + nrays:]:
+        indices = _integer_line(line, "fan file")
         cone = frozenset(t - 1 for t in indices)
         if len(cone) < len(indices):
             raise DomainError(f"fan cone '{line.strip()}' repeats a ray")
@@ -563,12 +564,8 @@ def parse_fan(text):
     return Fan(rank, rays, cones)
 
 
-def _integers(line):
-    return _integer_line(line, "fan file")
-
-
 def format_fan(fan):
-    lines = [f"{fan.rank} {len(fan.rays)} {len(fan.maximal_cones)}"]
+    lines = [f"{fan.rank} {len(fan.rays)} {len(fan._cone_masks)}"]
     lines += [" ".join(str(x) for x in ray) for ray in fan.rays]
-    lines += [" ".join(str(i + 1) for i in sorted(c)) for c in fan.maximal_cones]
+    lines += [" ".join(str(i + 1) for i in _bits(mask)) for mask in fan._cone_masks]
     return "\n".join(lines) + "\n"

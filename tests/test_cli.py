@@ -320,16 +320,30 @@ def test_toric_integral_checks_fan_file(tmp_path, capsys, text, needle):
 def test_permutohedral_fan_past_reach_refused(capsys, argv, n):
     # (n+1)! maximal cones: refused before any is built
     cls = ("--class", "[]") if argv[1] == "integral" else ()
-    needle = (f"mu_generic needs n <= 7, got n = {n}" if argv[1] == "mu-generic"
-              else f"permutohedral fan needs n <= 8, got n = {n}")
-    _assert_domain_error(capsys, (*argv, str(n), *cls), needle)
+    _assert_domain_error(capsys, (*argv, str(n), *cls),
+                         f"permutohedral fan needs n <= 8, got n = {n}")
 
 
-@pytest.mark.parametrize("n", [8, 9, 10**6])
+@pytest.mark.parametrize("n", [9, 10**6])
 def test_mu_generic_past_reach_refused(capsys, n):
-    # n = 8 would build 9! cones; refused before the fan is built
+    # n = 9 would build 10! cones; the fan refuses before it builds any
     _assert_domain_error(capsys, ("toric", "mu-generic", "--n", str(n)),
-                         f"mu_generic needs n <= 7, got n = {n}")
+                         f"permutohedral fan needs n <= 8, got n = {n}")
+
+
+@pytest.mark.parametrize("n", [9, 10, 20])
+def test_product_past_reach_refused(capsys, n):
+    # a well-formed CQ_9 product would reduce with no bound on its work;
+    # refused before the first step
+    b = [0] * (n - 1)
+    for k in range(n * (n + 1) // 2 - 1):
+        b[k % (n - 1)] += 1
+    _assert_domain_error(capsys, ("product", "--n", str(n), "--a", ",".join(["0"] * (n - 1)),
+                                  "--b", ",".join(map(str, b))),
+                         f"intersection product needs n <= 8, got n = {n}")
+    # a malformed one still names its own fault
+    _assert_domain_error(capsys, ("product", "--n", str(n), "--a", ",".join(["0"] * (n - 1)),
+                                  "--b", ",".join(["1"] * (n - 1))), "degree mismatch")
 
 
 @pytest.mark.parametrize("n", [9, 10**6])

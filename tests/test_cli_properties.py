@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from cqcalc.cli import main
 
 INT = st.integers(-2, 10).map(str)
-# A flag integral with n <= 10 takes under 0.1 s, so no drawn list can hang.
+# A flag integral with n <= 10 takes under 0.1 s once the volume table on
+# seven variables is built, which the first one with n >= 8 does in about
+# 0.2 s, so no drawn list can hang.
 INT_LIST = st.lists(st.integers(-2, 10), max_size=10).map(lambda xs: ",".join(map(str, xs)))
 # Bar syntax, mostly well formed; a cell of up to 8 elements parametrizes
 # in milliseconds, and only n = 3 cells verify.
@@ -31,15 +33,36 @@ VALUES = st.one_of(
     st.lists(ASSIGNMENT, max_size=6).map(",".join),
     st.text("xy123=,/-", max_size=12),
 )
-# Segre data: a JSON object whose fields are ints, floats, strings, null or
-# lists, one of them sometimes missing.
-SEGRE_FIELD = st.one_of(
-    st.integers(-2, 10), st.floats(), st.text("01x", max_size=3), st.none(),
-    st.lists(st.one_of(st.integers(-9, 9), st.floats(), st.text("1x", max_size=2),
-                       st.none()), max_size=4),
-)
-SEGRE_DATA = st.dictionaries(st.sampled_from(["degF", "nL", "mY", "s"]), SEGRE_FIELD,
-                             min_size=3).map(json.dumps)
+# A JSON value that is no integer.
+NOT_INT = st.one_of(st.floats(), st.text("01x", max_size=3), st.none())
+
+
+@st.composite
+def segre_data(draw):
+    """Valid Segre data (mY in 0..nL-1 and one s_j for each j <= mY) as a
+    JSON object, mostly with one field spoiled: degF, nL, mY or one s_j
+    made a float, a string or null, mY out of range, s of the wrong
+    length, or a field left out."""
+    nl = draw(st.integers(1, 10))
+    my = draw(st.integers(0, nl - 1))
+    data = {"degF": draw(st.integers(1, 10)), "nL": nl, "mY": my,
+            "s": draw(st.lists(st.integers(-9, 9), min_size=my + 1, max_size=my + 1))}
+    spoil = draw(st.sampled_from(["", "degF", "nL", "mY", "s_j", "range", "length", "missing"]))
+    if spoil in ("degF", "nL", "mY"):
+        data[spoil] = draw(NOT_INT)
+    elif spoil == "s_j":
+        data["s"][draw(st.integers(0, my))] = draw(NOT_INT)
+    elif spoil == "range":
+        data["mY"] = draw(st.sampled_from([-1, nl, nl + 1]))
+    elif spoil == "length":
+        data["s"] = draw(st.lists(st.integers(-9, 9), max_size=12).filter(
+            lambda s: len(s) != my + 1))
+    elif spoil == "missing":
+        del data[draw(st.sampled_from(sorted(data)))]
+    return json.dumps(data)
+
+
+SEGRE_DATA = segre_data()
 
 # Command words -> {flag: value strategy, or None for a bare flag}.
 # `product` is left out: it runs the general reduction, which has no work
@@ -65,8 +88,8 @@ FLAGS = {
 
 
 @st.composite
-def argvs(draw):
-    command = draw(st.sampled_from(sorted(FLAGS)))
+def argvs(draw, commands=tuple(sorted(FLAGS))):
+    command = draw(st.sampled_from(commands))
     flags = FLAGS[command]
     # at most one flag left out, so most argv reach the handler
     omitted = draw(st.sets(st.sampled_from(sorted(flags)), max_size=1))
@@ -87,6 +110,18 @@ def argvs(draw):
 @settings(deadline=None, max_examples=200)
 @given(argvs())
 def test_exit_code_contract(argv):
+    _assert_contract(argv)
+
+
+@settings(deadline=None, max_examples=200)
+@given(argvs(("segre mu", "segre nu")))
+def test_segre_exit_code_contract(argv):
+    # Most spoiled fields reach the evaluator only when SegreData lets a
+    # non-integer through, so they get examples of their own.
+    _assert_contract(argv)
+
+
+def _assert_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

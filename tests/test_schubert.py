@@ -182,28 +182,29 @@ def _positive_composition(rng, total, parts):
 
 
 def test_weyl_volume_equals_monk_past_the_table():
-    # at n = 7 the volume table on six variables answers in one lookup;
-    # from n = 8 on the first rows are dealt forward before it answers the
-    # last six variables (`_dealt_count`); no exponent is 0, so no vector
-    # is answered before that path runs
+    # at n = 7 and 8 the volume tables on six and seven variables answer in
+    # one lookup; from n = 9 on the first rows are dealt forward before the
+    # table answers the last seven variables (`_dealt_count`); no exponent
+    # is 0, so no vector is answered before that path runs
     rng = random.Random(11)
     nonzero = 0
-    for n, count in ((7, 100), (8, 10)):
+    for n, count in ((7, 100), (8, 10), (9, 3)):
         for _ in range(count):
             b = _positive_composition(rng, binomial(n, 2), n - 1)
             schedule = [slot for slot, c in enumerate(b, start=1) for _ in range(c)]
             value = flag_integral(n, b)
             assert value == flag_integral(n, b, order=schedule), (n, b)
             nonzero += value != 0
-    # 53 of the n = 7 vectors and 4 of the n = 8 ones are nonzero
-    assert nonzero == 57
+    # 53 of the n = 7 vectors, 4 of the n = 8 ones and 2 of the n = 9 ones
+    # are nonzero
+    assert nonzero == 59
 
 
 def test_volume_table_sizes():
     schubert.clear_caches()
     sizes = [len(schubert._volume_table(k)) for k in range(1, schubert.TABLE_VARIABLES + 1)]
-    assert sizes == [1, 2, 8, 55, 567, 7958]
-    assert sorted(schubert._integral_memo) == [1, 2, 3, 4, 5, 6]
+    assert sizes == [1, 2, 8, 55, 567, 7958, 142396]
+    assert sorted(schubert._integral_memo) == [1, 2, 3, 4, 5, 6, 7]
 
 
 def test_flag_integral_past_the_table_cap():

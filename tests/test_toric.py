@@ -557,6 +557,35 @@ def test_spans_cone_matches_linear_scan():
         assert not fan.spans_cone({0, -1})
 
 
+def test_cones_kept_as_masks_until_read():
+    for n in range(1, 6):
+        fan = permutohedral_fan(n)
+        assert fan._ray_cones is None and fan._maximal_cones is None
+        # Bott's route, both checks and the fan file read only the masks
+        h1, h2 = permutohedral_divisors(fan)
+        assert localized_integral(fan, [h1] * (n - 1) + [h2]) == n
+        assert fan.check_smooth() and fan.check_complete()
+        assert parse_fan(format_fan(fan))._cone_masks == fan._cone_masks
+        assert fan._ray_cones is None and fan._maximal_cones is None
+        # the first lookup builds each ray's cone mask, as the OR of the
+        # bits of the cones that hold the ray
+        assert fan.spans_cone({0})
+        expected = [0] * len(fan.rays)
+        for index, mask in enumerate(fan._cone_masks):
+            for ray in range(len(fan.rays)):
+                if mask >> ray & 1:
+                    expected[ray] |= 1 << index
+        assert fan._ray_cones == expected
+        # the sets are built once, on first read
+        assert fan.maximal_cones is fan.maximal_cones
+        masks = [sum(1 << ray for ray in cone) for cone in fan.maximal_cones]
+        assert masks == list(fan._cone_masks)
+    # a ray listed twice would carry in a cone's mask
+    for cone in ((0, 0), (0, 0, 1)):
+        with pytest.raises(DomainError, match="rank many distinct rays"):
+            Fan(2, [(1, 0), (0, 1), (-1, -1)], [cone])
+
+
 def test_dual_rows_match_linear_solve():
     for n in (1, 2, 3, 4):
         fan = permutohedral_fan(n)
