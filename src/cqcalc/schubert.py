@@ -195,7 +195,9 @@ def flag_integral(n, b, order=None):
     the Weyl volume polynomial through the memoized volume table; an
     explicit `order` (a sequence of slots, each slot s repeated b_s times)
     computes it with Monk's rule in that order instead, which the tests use
-    as the oracle.
+    as the oracle.  Both routes refuse n > 12 before any work: balanced
+    exponents take about 2.6 s and 47 MB at n = 12 and 30 s and 270 MB at
+    n = 13 (Python 3.11, shared 2-CPU host).
     """
     b = integer_exponents(b)
     if n < 2:
@@ -207,6 +209,8 @@ def flag_integral(n, b, order=None):
         raise DomainError("negative exponent")
     if sum(b) != n * (n - 1) // 2:
         raise DomainError("degree mismatch")
+    if n > 12:
+        raise DomainError(f"flag integral needs n <= 12, got n = {n}")
     if order is not None:
         return _monk_integral(n, b, order)
     return _weyl_integral(n, b) if low else 0

@@ -28,19 +28,22 @@ Which route answers:
   cone's pairs are used for all of its rays or for none: the cone is
   certified when every pair passes <m, u_j> = [j is its ray] on the
   cone's rays, since the pairs then invert the rays over the integers,
-  which forces determinant +-1.  Each distinct pair (a, b) keeps two
-  masks over all rays, built on first use: Z of the rays u with
-  u[a] - u[b] = 0 and O of those with u[a] - u[b] = 1, so a cone costs
-  `rank` mask tests;
+  which forces determinant +-1.  Each cone is certified once, when the
+  fan is built, and `_cone_pairs` keeps a cone's tuple only if it
+  certifies the cone, else None; the readers below test for None and
+  nothing else.  While the fan is built, each pair (a, b) of coordinates
+  has two masks over all rays: Z of the rays u with u[a] - u[b] = 0 and
+  O of those with u[a] - u[b] = 1, so a cone costs `rank` mask tests
+  (at n = 8 about 1.1 s, on top of 1.8 s for the rest of the build,
+  Python 3.11, shared 2-CPU host);
 * smoothness: a certified cone needs nothing more; any other cone (every
   `--fan` cone, one with a pair that fails or names a coordinate outside
   1..rank+1, or whose entry is not a tuple of 2 * rank ints) is decided
   by one `determinant`;
 * dual functionals, cached per (maximal cone, ray) with their row, the
   nonzero coefficients -<m, u_sigma> over the rays outside the cone, which
-  is all a product needs: on a certified cone the ray's pair, whose row
-  over every ray u is u[b] - u[a], built once per pair; otherwise one
-  `solve_linear_system` on the cone's rays;
+  is all a product needs: m is e_a - e_b for the ray's pair on a
+  certified cone, otherwise one `solve_linear_system` on the cone's rays;
 * top-degree products of divisors (`localized_integral`, and
   `mu_generic` through the same restrictions): Bott's residue formula
   over the maximal cones, the torus fixed points.  Each ray of a cone
@@ -96,17 +99,37 @@ def _exact(coeff):
     return coeff.numerator if coeff.denominator == 1 else coeff
 
 
+def _pairs_certify(mask, pairs, pair_masks):
+    """True iff each pair (a, b) of the flat tuple `pairs` gives
+    m = e_a - e_b with <m, u_j> = [j is its ray] over the rays of the cone
+    with ray mask `mask`: the ray's bit is in the pair's O and every other
+    ray's in its Z, where `pair_masks` maps (a, b) to (Z, O) and a pair it
+    lacks certifies nothing.  This is the only pair test, and `Fan` runs it
+    once per cone, when it is built."""
+    # The rays are taken highest first, so their pairs are read from the
+    # end of the tuple.
+    rest, k = mask, len(pairs)
+    while rest:
+        bit = 1 << rest.bit_length() - 1
+        k -= 2
+        zero, one = pair_masks.get((pairs[k], pairs[k + 1]), (0, 0))
+        if not one & bit or mask & ~zero != bit:
+            return False
+        rest ^= bit
+    return True
+
+
 class Fan:
     """Rational fan, assumed (and checkable) smooth and complete.
 
     Each maximal cone is kept once, as its ray mask in `_cone_masks`
-    beside its pairs (or None) in `_cone_pairs`, ordered by sorted ray
-    indices; `maximal_cones` is built on first read, and `_ray_cones` on
-    the first cone lookup."""
+    beside its pairs in `_cone_pairs`, ordered by sorted ray indices; a
+    cone's pairs are certified once, here, and kept only if they certify
+    it, else None.  `maximal_cones` is built on first read, and
+    `_ray_cones` on the first cone lookup."""
 
     __slots__ = ("rank", "rays", "_maximal_cones", "_ray_cones", "_cone_lookup",
-                 "_dual_cache", "_pair_rows", "_pair_masks", "_cone_pairs",
-                 "_cone_masks", "_padded", "ray_labels", "subsets")
+                 "_dual_cache", "_cone_pairs", "_cone_masks", "ray_labels", "subsets")
 
     def __init__(self, rank, rays, maximal_cones, ray_labels=None, pairs=None,
                  subsets=None):
@@ -116,19 +139,30 @@ class Fan:
         functional e_a - e_b there.  a and b are coordinates 1..rank+1 of the
         quotient of Z^(rank+1) by the all-ones vector, with the last one
         dropped.  A cone's pairs are used for all of its rays or for none:
-        only when its entry is a tuple of 2 * rank ints and
-        `_pairs_certify` passes it; otherwise the solve and the determinant
-        decide.  `subsets` labels the rays for `permutohedral_divisors`."""
+        an entry is kept only when it is a tuple of 2 * rank ints and
+        `_pairs_certify` passes it, else it becomes None and the solve and
+        the determinant decide.  `subsets` labels the rays for
+        `permutohedral_divisors`."""
         self.subsets = subsets
         self.rank = rank
         self.rays = tuple(tuple(map(int, r)) for r in rays)
         if any(len(r) != rank for r in self.rays):
             raise DomainError("ray of wrong dimension")
-        # Each ray padded to coordinates 0..rank+1 (the quotient drops
-        # rank+1), so <e_a - e_b, u> = u[a] - u[b] for a, b in 1..rank+1.
-        self._padded = [(0, *ray, 0) for ray in self.rays]
         maximal_cones = list(maximal_cones)
-        pairs = [None] * len(maximal_cones) if pairs is None else list(pairs)
+        pair_masks = {}
+        if pairs is None:
+            pairs = [None] * len(maximal_cones)
+        else:
+            pairs = list(pairs)
+            # Each ray padded to coordinates 0..rank+1 (the quotient drops
+            # rank+1), so <e_a - e_b, u> = u[a] - u[b] for a, b in 1..rank+1.
+            padded = [(0, *ray, 0) for ray in self.rays]
+            coordinates = range(1, rank + 2)
+            # (a, b) -> (Z, O), the masks of the rays u with u[a] - u[b] = 0
+            # and = 1.
+            pair_masks = {(a, b): (sum(1 << j for j, u in enumerate(padded) if u[a] == u[b]),
+                                   sum(1 << j for j, u in enumerate(padded) if u[a] - u[b] == 1))
+                          for a in coordinates for b in coordinates}
         if len(pairs) != len(maximal_cones):
             raise DomainError("pairs need one entry per maximal cone")
         nrays = len(self.rays)
@@ -143,7 +177,8 @@ class Fan:
             if len(order) != rank or mask.bit_count() != rank:
                 raise DomainError("maximal cone must have rank many distinct rays")
             if not (isinstance(given, tuple) and len(given) == 2 * rank
-                    and all(map(int.__instancecheck__, given))):
+                    and all(map(int.__instancecheck__, given))
+                    and _pairs_certify(mask, given, pair_masks)):
                 given = None
             cones.append((order, mask, given))
         # A stable sort, so equal cones keep their given order.
@@ -158,11 +193,6 @@ class Fan:
         self._cone_lookup = {}
         # (maximal cone index, ray) -> (dual functional, its nonzero row).
         self._dual_cache = {}
-        # (a, b) -> row of e_a - e_b over every ray.
-        self._pair_rows = {}
-        # (a, b) -> (Z, O), the masks of the rays u with u[a] - u[b] = 0
-        # and = 1; (0, 0) when a or b is no coordinate 1..rank+1.
-        self._pair_masks = {}
         self.ray_labels = tuple(ray_labels or (f"x{i+1}" for i in range(nrays)))
 
     @property
@@ -214,38 +244,14 @@ class Fan:
     def check_smooth(self):
         """Every maximal cone's rays must form a basis of the lattice.
 
-        A cone with pairs is certified by them: if m_k = e_a - e_b, the pair
-        of its ray u_k, has <m_k, u_j> = delta_kj over its rays u_j, an
-        integer matrix inverts the cone's, so its determinant is +-1.  Any
-        other cone is decided by its determinant."""
+        A cone with pairs kept was certified by them when the fan was
+        built: if m_k = e_a - e_b, the pair of its ray u_k, has
+        <m_k, u_j> = delta_kj over its rays u_j, an integer matrix inverts
+        the cone's, so its determinant is +-1.  Any other cone is decided
+        by its determinant."""
         for mask, pairs in zip(self._cone_masks, self._cone_pairs):
-            if (not self._pairs_certify(mask, pairs)
-                    and abs(determinant([self.rays[i] for i in _bits(mask)])) != 1):
+            if pairs is None and abs(determinant([self.rays[i] for i in _bits(mask)])) != 1:
                 raise DomainError("fan not smooth")
-        return True
-
-    def _pairs_certify(self, mask, pairs):
-        """True iff the cone with ray mask `mask` has pairs, the flat tuple
-        `pairs`, and each pair (a, b) gives m = e_a - e_b with
-        <m, u_j> = [j is its ray] over the cone's rays: the ray's bit is in
-        the pair's O and every other ray's in its Z.  This is the only pair
-        test, so a cone's pairs are used for all of its rays or for none."""
-        if not pairs:
-            return False
-        pair_masks = self._pair_masks
-        # The rays are taken highest first, so their pairs are read from the
-        # end of the tuple.
-        rest, k = mask, len(pairs)
-        while rest:
-            bit = 1 << rest.bit_length() - 1
-            k -= 2
-            try:
-                zero, one = pair_masks[pairs[k], pairs[k + 1]]
-            except KeyError:
-                zero, one = self._pair_mask(pairs[k], pairs[k + 1])
-            if not one & bit or mask & ~zero != bit:
-                return False
-            rest ^= bit
         return True
 
     def check_complete(self):
@@ -281,40 +287,16 @@ class Fan:
         cached = self._dual_cache.get(key)
         if cached is None:
             mask, pairs = self._cone_masks[parent], self._cone_pairs[parent]
-            if 0 <= ray_index and mask >> ray_index & 1 and self._pairs_certify(mask, pairs):
+            if pairs is not None and 0 <= ray_index and mask >> ray_index & 1:
                 # The rays of the cone below ray_index come first in pairs.
                 k = 2 * (mask & (1 << ray_index) - 1).bit_count()
-                m, row = self._pair_dual(pairs[k], pairs[k + 1])
+                m = tuple((i == pairs[k]) - (i == pairs[k + 1]) for i in range(1, self.rank + 1))
             else:
                 m = self._solved_functional(mask, ray_index)
-                row = [(sigma, -sum(map(mul, m, u))) for sigma, u in enumerate(self.rays)]
-            row = tuple((sigma, c) for sigma, c in row if c and not mask >> sigma & 1)
-            cached = self._dual_cache[key] = (m, row)
+            row = [(sigma, -sum(map(mul, m, u))) for sigma, u in enumerate(self.rays)
+                   if not mask >> sigma & 1]
+            cached = self._dual_cache[key] = (m, tuple((sigma, c) for sigma, c in row if c))
         return cached
-
-    def _pair_mask(self, a, b):
-        """(Z, O) of `_pair_masks` for the pair, built in one pass over the
-        rays."""
-        zero = one = 0
-        if 1 <= a <= self.rank + 1 and 1 <= b <= self.rank + 1:
-            for j, u in enumerate(self._padded):
-                value = u[a] - u[b]
-                if value == 0:
-                    zero |= 1 << j
-                elif value == 1:
-                    one |= 1 << j
-        masks = self._pair_masks[a, b] = (zero, one)
-        return masks
-
-    def _pair_dual(self, a, b):
-        """m = e_a - e_b and its row over every ray, u[b] - u[a], built once
-        per pair."""
-        row = self._pair_rows.get((a, b))
-        if row is None:
-            row = self._pair_rows[a, b] = [
-                (sigma, u[b] - u[a]) for sigma, u in enumerate(self._padded) if u[a] != u[b]
-            ]
-        return tuple((i == a) - (i == b) for i in range(1, self.rank + 1)), row
 
     def _solved_functional(self, mask, ray_index):
         """m from the rays of the cone with ray mask `mask` by one linear
@@ -429,8 +411,8 @@ def _restrict(fan, divisors, weights=None):
     Ray rho of sigma restricts to <m, t> for m its dual functional in
     sigma, and e(sigma) is the product of these over the rays of sigma; a
     ray outside sigma restricts to 0.  A cone's pairs are used for all of
-    its rays or for none: on a cone `Fan._pairs_certify` passes, the ray
-    with pair (a, b) gives t_a - t_b (t padded with t_(rank+1) = 0); on any
+    its rays or for none: on a cone whose pairs the fan kept, the ray with
+    pair (a, b) gives t_a - t_b (t padded with t_(rank+1) = 0); on any
     other cone every ray's m is solved first, so that the default
     t = (1, K, K^2, ...) with K = 2 max |m_i| + 1 makes every <m, t>
     nonzero (its base-K digits are the entries of m).  By the localization
@@ -446,10 +428,10 @@ def _restrict(fan, divisors, weights=None):
             if 0 <= ray < nrays:
                 column[ray] = d
     # Cone index -> the solved m of each of its rays, lowest first, for each
-    # cone its pairs do not certify.
+    # cone that kept no pairs.
     solved = {index: [fan._solved_functional(mask, ray) for ray in _bits(mask)]
               for index, (mask, pairs) in enumerate(zip(fan._cone_masks, fan._cone_pairs))
-              if not fan._pairs_certify(mask, pairs)}
+              if pairs is None}
     if weights is None:
         base = 2 * max((abs(c) for ms in solved.values() for m in ms for c in m),
                        default=1) + 1

@@ -346,6 +346,18 @@ def test_product_past_reach_refused(capsys, n):
                                   "--b", ",".join(["1"] * (n - 1))), "degree mismatch")
 
 
+@pytest.mark.parametrize("n", [13, 14, 30])
+def test_flag_integral_past_reach_refused(capsys, n):
+    # a balanced Fl_13 integral would deal for about 30 s; refused before
+    # the first step, and a malformed one still names its own fault
+    b = [n // 2] * (n - 1)
+    b[0] += n * (n - 1) // 2 - sum(b)
+    _assert_domain_error(capsys, ("flag-integral", "--n", str(n), "--b", ",".join(map(str, b))),
+                         f"flag integral needs n <= 12, got n = {n}")
+    _assert_domain_error(capsys, ("flag-integral", "--n", str(n), "--b", ",".join(["1"] * (n - 1))),
+                         "degree mismatch")
+
+
 @pytest.mark.parametrize("n", [9, 10**6])
 def test_two_permutation_enumeration_past_reach_refused(capsys, n):
     # n = 9 would list 4,740,120 cells; the histogram counts them instead

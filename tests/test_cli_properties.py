@@ -1,8 +1,8 @@
 """Property test of the CLI exit-code contract: on any argv drawn for the
-closed-form subcommands, `flag-integral`, the Chow-group histogram,
-`toric mu-generic`, `cells weight|param|verify` and `segre mu|nu`, `main`
-returns 0, 2 or 3 or argparse exits with 2, and no other exception
-escapes.  Each value is passed as `--flag value` or `--flag=value`, and
+closed-form subcommands, `flag-integral`, `product`, the Chow-group
+histogram, `toric mu-generic`, `cells weight|param|verify` and
+`segre mu|nu`, `main` returns 0, 2 or 3 or argparse exits with 2, and no
+other exception escapes.  Each value is passed as `--flag value` or `--flag=value`, and
 may be `--`."""
 
 import contextlib
@@ -65,9 +65,10 @@ def segre_data(draw):
 SEGRE_DATA = segre_data()
 
 # Command words -> {flag: value strategy, or None for a bare flag}.
-# `product` is left out: it runs the general reduction, which has no work
-# budget yet, so a drawn argv can run for a long time.  The histogram with
-# n <= 8 and mu_generic with n <= 4 each answer in under 0.1 s.
+# `product` runs the general reduction, which has no work budget, so its n
+# stops at 7: the slowest CQ_7 monomial with exponents <= 10 answers in
+# about 0.25 s.  The histogram with n <= 8 and mu_generic with n <= 4 each
+# answer in under 0.1 s.
 FLAGS = {
     "phi": {"--n": INT, "--d": INT},
     "phi-c": {"--n": INT, "--c": INT, "--d": INT},
@@ -77,6 +78,7 @@ FLAGS = {
     "delta-poly": {"--m": INT, "--s": INT},
     "hypersurface-count": {"--d": INT, "--n": INT, "--b": INT},
     "flag-integral": {"--n": INT, "--b": INT_LIST},
+    "product": {"--n": st.integers(-2, 7).map(str), "--a": INT_LIST, "--b": INT_LIST},
     "cells": {"--histogram": None, "--n": st.integers(-2, 8).map(str)},
     "toric mu-generic": {"--n": st.integers(-2, 4).map(str)},
     "cells weight": {"--sigma": SIGMA},

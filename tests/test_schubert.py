@@ -160,6 +160,29 @@ def test_weyl_volume_equals_monk_on_every_composition():
     assert counts[6] == 3876
 
 
+def test_flag_integral_past_reach_refused(monkeypatch):
+    # balanced exponents on Fl_13 deal for about 30 s and 270 MB, so both
+    # routes refuse n = 13 before they deal or run Monk
+    def refuse(*args):
+        raise AssertionError("flag integral past its reach was computed")
+
+    monkeypatch.setattr(schubert, "_dealt_count", refuse)
+    monkeypatch.setattr(schubert, "monk_multiply_combination", refuse)
+    b = (7,) * 6 + (6,) * 6
+    schedule = [slot for slot, count in enumerate(b, start=1) for _ in range(count)]
+    for order in (None, schedule):
+        for n, exponents in ((13, b), (14, b + (13,)), (40, (20,) * 39)):
+            with pytest.raises(DomainError, match=f"flag integral needs n <= 12, got n = {n}"):
+                flag_integral(n, exponents, order=order)
+    # a malformed one still names its own fault
+    with pytest.raises(DomainError, match="degree mismatch"):
+        flag_integral(13, (1,) * 12)
+    monkeypatch.undo()
+    # n = 12 still answers; its reversal, another route through the dealt
+    # states, gave the same value when it was pinned
+    assert flag_integral(12, (5, 5, 8, 1, 9, 2, 8, 5, 5, 10, 8)) == 276_500_115_137_510_400
+
+
 def test_flag_integral_rejects_bad_schedule():
     with pytest.raises(DomainError, match="order does not match"):
         flag_integral(3, (1, 2), order=(1, 1, 2))

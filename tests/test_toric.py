@@ -215,11 +215,12 @@ def test_localized_integral_weights_and_degree(monkeypatch):
     with pytest.raises(DomainError, match="zero weight"):
         _localized_at(fan, [h1, h1, h2], (1, 1, 2))
     # two rays of the first cone trade pairs: the cone's pairs no longer
-    # certify it, so all three of its functionals are solved, there and in
-    # `_dual`, and every other cone keeps its pairs
+    # certify it, so the fan drops them, all three of its functionals are
+    # solved, there and in `_dual`, and every other cone keeps its pairs
     pairs = [_chain_pairs(fan.subsets, cone) for cone in fan.maximal_cones]
     pairs[0] = pairs[0][2:4] + pairs[0][:2] + pairs[0][4:]
     swapped = Fan(fan.rank, fan.rays, fan.maximal_cones, pairs=pairs)
+    assert swapped._cone_pairs == (None, *pairs[1:])
     solves = _count_calls(monkeypatch, "solve_linear_system")
     rng = random.Random(5)
     for _ in range(5):
@@ -237,10 +238,10 @@ def test_localized_integral_weights_and_degree(monkeypatch):
             localized_integral(fan, divisors)
     with pytest.raises(DomainError, match="integer divisors"):
         localized_integral(fan, [h1, h1, {0: Fraction(1, 2)}])
-    # the route fills neither the cone nor the dual-row caches
+    # the route fills neither the cone nor the dual-row cache
     fresh = permutohedral_fan(3)
     assert localized_integral(fresh, [h1, h1, h2]) == mu_generic(3)[1]
-    assert not fresh._cone_lookup and not fresh._dual_cache and not fresh._pair_rows
+    assert not fresh._cone_lookup and not fresh._dual_cache
 
 
 def test_mu_generic_matches_uniform_matroid():
@@ -424,9 +425,10 @@ def test_mismatched_subset_labels_fall_back_to_determinant(monkeypatch):
     # off the quotient vectors of their subsets
     sheared = [(x + y, y, z) for x, y, z in fan.rays]
     sheared_fan = _relabelled(fan, rays=sheared)
+    assert set(sheared_fan._cone_pairs) == {None}
     assert sheared_fan.check_smooth()
     assert len(calls) == len(fan.maximal_cones)
-    # a pair that fails is not used: the dual functionals are the solve's
+    # a pair that fails is not kept: the dual functionals are the solve's
     plain = Fan(fan.rank, sheared, fan.maximal_cones)
     for cone in fan.maximal_cones:
         for ray in cone:
@@ -437,22 +439,34 @@ def test_mismatched_subset_labels_fall_back_to_determinant(monkeypatch):
     random.Random(3).shuffle(subsets)
     shuffled = _relabelled(fan, subsets=subsets)
     assert shuffled.check_smooth()
-    assert len(calls) >= shuffled._cone_pairs.count(None) > 0
-    # each cone given the next cone's pairs: the tuples are kept, but a
-    # cone's pairs are the dual basis of that cone alone, so no moved tuple
-    # certifies its cone and each cone takes its determinant
+    assert len(calls) == shuffled._cone_pairs.count(None) > 0
+    # each cone given the next cone's pairs: a cone's pairs are the dual
+    # basis of that cone alone, so no moved tuple certifies its cone, the
+    # fan drops every one and each cone takes its determinant
     calls.clear()
     pairs = [_chain_pairs(fan.subsets, cone) for cone in fan.maximal_cones]
     moved = Fan(fan.rank, fan.rays, fan.maximal_cones, pairs=pairs[1:] + pairs[:1])
-    assert moved.check_smooth() and moved._cone_pairs == tuple(pairs[1:] + pairs[:1])
+    assert set(moved._cone_pairs) == {None}
+    assert moved.check_smooth()
     assert len(calls) == len(fan.maximal_cones)
 
 
 def _scan_is_dual(fan, cone, ray, a, b):
     """Whether e_a - e_b is the dual functional of `ray` in the cone, by
-    walking the cone's rays."""
-    padded = fan._padded
-    return all(padded[j][a] - padded[j][b] == (j == ray) for j in cone)
+    walking the cone's rays, each padded to coordinates 0..rank+1 (the
+    quotient drops rank+1)."""
+    for j in cone:
+        u = (0, *fan.rays[j], 0)
+        if u[a] - u[b] != (j == ray):
+            return False
+    return True
+
+
+def _scan_certifies(fan, cone, pairs):
+    """Whether every ray of the cone, lowest first, has its pair in
+    `pairs` as its dual functional, by `_scan_is_dual`."""
+    return all(_scan_is_dual(fan, cone, ray, a, b)
+               for ray, a, b in zip(sorted(cone), pairs[::2], pairs[1::2]))
 
 
 def test_mask_certificate_matches_ray_scan(monkeypatch):
@@ -460,44 +474,51 @@ def test_mask_certificate_matches_ray_scan(monkeypatch):
     for n in range(1, 5):
         fan = permutohedral_fan(n)
         coordinates = range(1, n + 2)
-        sheared = _relabelled(fan, rays=[(u[0] + sum(u[1:]), *u[1:]) for u in fan.rays])
+        chains = [_chain_pairs(fan.subsets, cone) for cone in fan.maximal_cones]
+        sheared = [(u[0] + sum(u[1:]), *u[1:]) for u in fan.rays]
+        # every pair (a, b) in turn replaces one ray's pair in its cone's
+        # chain; the variants are copies of the cone, so one fan holds them
+        # all, and on the fan's rays the chain's other pairs pass, so the
+        # kept tuples are those whose swept pair passes the scan
+        cones, swept = [], []
+        for cone, chain in zip(fan.maximal_cones, chains):
+            for k in range(0, 2 * n, 2):
+                for a in coordinates:
+                    for b in coordinates:
+                        cones.append(cone)
+                        swept.append(chain[:k] + (a, b) + chain[k + 2:])
+        for rays in (sheared, fan.rays):
+            copy = Fan(n, rays, cones, pairs=swept)
+            assert copy.maximal_cones == tuple(cones)
+            kept = [pairs if _scan_certifies(copy, cone, pairs) else None
+                    for cone, pairs in zip(cones, swept)]
+            assert copy._cone_pairs == tuple(kept), (n, rays is sheared)
+        # on the fan's rays exactly one pair is the dual of each ray of a
+        # cone, so each cone keeps its own chain once per ray
+        assert len(kept) - kept.count(None) == len(chains) * n == len(cones) // (n + 1) ** 2
+        # whole tuples: the chains of shuffled labels, and each ray given
+        # the pair of the next ray of its cone
         subsets = list(fan.subsets)
         random.Random(n).shuffle(subsets)
-        shuffled = _relabelled(fan, subsets=subsets)
-        # each ray of a cone takes the pair of the next ray of that cone
-        rotated_pairs = []
-        for cone in fan.maximal_cones:
-            chain = _chain_pairs(fan.subsets, cone)
-            rotated_pairs.append(chain[2:] + chain[:2])
-        rotated = Fan(n, fan.rays, fan.maximal_cones, pairs=rotated_pairs)
-        # every pair is swept on the two ray sets; the copies that share
-        # the fan's rays differ only in the pairs their cones carry
-        for copy, sweep in ((fan, True), (sheared, True), (shuffled, False), (rotated, False)):
+        shuffled = [_chain_pairs(subsets, cone) for cone in fan.maximal_cones]
+        rotated = [chain[2:] + chain[:2] for chain in chains]
+        for rays, given in ((fan.rays, chains), (sheared, chains), (fan.rays, shuffled),
+                            (fan.rays, rotated)):
             calls.clear()
-            uncertified = 0
-            # (Z, O) of every pair: the rays where e_a - e_b is 0 and 1
-            masks = {(a, b): copy._pair_mask(a, b) for a in coordinates for b in coordinates}
-            for cone, mask, pairs in zip(copy.maximal_cones, copy._cone_masks, copy._cone_pairs):
-                assert mask == sum(1 << ray for ray in cone)
-                for ray in cone if sweep else ():
-                    for (a, b), (zero, one) in masks.items():
-                        passes = one >> ray & 1 == 1 and mask & ~zero == 1 << ray
-                        assert passes == _scan_is_dual(copy, cone, ray, a, b), (n, cone, ray, a, b)
-                certified = pairs is not None and all(
-                    _scan_is_dual(copy, cone, ray, a, b)
-                    for ray, a, b in zip(sorted(cone), pairs[::2], pairs[1::2]))
-                assert copy._pairs_certify(mask, pairs) == certified
-                uncertified += not certified
+            copy = Fan(n, rays, fan.maximal_cones, pairs=given)
+            kept = tuple(pairs if pairs is not None and _scan_certifies(copy, cone, pairs)
+                         else None for cone, pairs in zip(fan.maximal_cones, given))
+            assert copy._cone_pairs == kept
             assert copy.check_smooth()
-            assert len(calls) == uncertified
+            assert len(calls) == kept.count(None)
         # past the line, a rotated pair is never the dual of its ray
-        assert uncertified == (len(fan.maximal_cones) if n > 1 else 0)
+        assert kept.count(None) == (len(fan.maximal_cones) if n > 1 else 0)
 
 
 def test_bad_pairs_certify_nothing(monkeypatch):
     # a coordinate outside 1..rank+1 (0 and -1 would index the padding), or
-    # an entry that is not a tuple of 2 * rank ints, certifies nothing: that
-    # cone's determinant and the solve decide
+    # an entry that is not a tuple of 2 * rank ints, certifies nothing: the
+    # fan keeps None for that cone, and its determinant and the solve decide
     calls = _count_calls(monkeypatch, "determinant")
     fan = _hexagon()
     plain = Fan(2, fan.rays, fan.maximal_cones)
@@ -518,16 +539,13 @@ def test_bad_pairs_certify_nothing(monkeypatch):
         given[0] = bad
         calls.clear()
         bad_fan = Fan(2, fan.rays, fan.maximal_cones, pairs=given)
+        assert bad_fan._cone_pairs == (None, *pairs[1:]), bad
         assert bad_fan.check_smooth() and bad_fan.check_complete()
         assert calls == [[fan.rays[i] for i in sorted(fan.maximal_cones[0])]], bad
-        assert not bad_fan._pairs_certify(bad_fan._cone_masks[0], bad_fan._cone_pairs[0]), bad
         for cone in fan.maximal_cones:
             for j in cone:
                 assert bad_fan._dual(cone, j) == plain._dual(cone, j), (bad, cone, j)
         assert localized_integral(bad_fan, [h1, h2]) == 2
-        if bad == head + (7, 1):
-            # the table keeps one entry per distinct pair, empty for this one
-            assert bad_fan._pair_masks[7, 1] == (0, 0)
 
 
 def test_incomplete_fan_detected():
@@ -606,9 +624,11 @@ def test_dual_rows_match_linear_solve():
                 assert fan.dual_functional(face, ray) == fan.dual_functional(parent, ray)
 
 
-def test_closed_form_dual_rows_match_parsed_fan():
+def test_closed_form_dual_rows_match_parsed_fan(monkeypatch):
     # a fan read back from its file has no pairs, so its dual rows come from
-    # the linear solve; the built fan uses the closed form of its pairs
+    # the linear solve, one per (cone, ray); the built fan reads each ray's
+    # functional off its pair and solves nothing
+    solves = _count_calls(monkeypatch, "solve_linear_system")
     for n in (1, 2, 3, 4, 5):
         fan = permutohedral_fan(n)
         parsed = parse_fan(format_fan(fan))
@@ -616,8 +636,32 @@ def test_closed_form_dual_rows_match_parsed_fan():
         assert set(parsed._cone_pairs) == {None}
         for cone in fan.maximal_cones:
             for ray in cone:
+                solves.clear()
                 assert fan._dual(cone, ray) == parsed._dual(cone, ray), (n, cone, ray)
-        assert len(fan._pair_rows) == n * (n + 1) and not parsed._pair_rows
+                assert len(solves) == 1
+
+
+def test_pairs_certified_once_when_built(monkeypatch):
+    # the fan certifies its pairs when it is built and never again: with
+    # the pair test made to raise, a fan built before answers as one built
+    # beside it
+    built = [permutohedral_fan(n) for n in range(1, 5)]
+    expected = []
+    for fan in [permutohedral_fan(n) for n in range(1, 5)]:
+        h1, h2 = permutohedral_divisors(fan)
+        expected.append((fan.check_smooth(),
+                         [fan._dual(cone, ray) for cone in fan.maximal_cones for ray in cone],
+                         localized_integral(fan, [h1] * (fan.rank - 1) + [h2])))
+
+    def refuse(*args):
+        raise AssertionError("pairs certified again")
+
+    monkeypatch.setattr(toric, "_pairs_certify", refuse)
+    for fan, (smooth, duals, value) in zip(built, expected):
+        assert fan.check_smooth() == smooth
+        assert [fan._dual(cone, ray) for cone in fan.maximal_cones for ray in cone] == duals
+        h1, h2 = permutohedral_divisors(fan)
+        assert localized_integral(fan, [h1] * (fan.rank - 1) + [h2]) == value == fan.rank
 
 
 def test_multiply_with_fraction_coefficients():
