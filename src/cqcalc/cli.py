@@ -3,7 +3,9 @@
 The command tree is one table, `_COMMANDS`.  A subcommand that passes its
 integer and integer-list options straight to one library function is a
 single `_call` entry; the others have a handler that reads files, parses
-richer input or shapes the result.
+richer input or shapes the result.  Each handler imports the library
+modules it uses when it runs, and `json` is imported only for JSON input
+or output, so a cold `cq` process loads only what its subcommand needs.
 
 Output is plain text by default or a single JSON object with --format
 json; the object carries a schema tag, the result, and a meta block
@@ -16,18 +18,12 @@ nondeterministic.
 """
 
 import argparse
-import json
+import importlib
 import sys
 import time
 from fractions import Fraction
 
 from .exactmath import DomainError, UnivariatePolynomial
-from . import cells as cells_mod
-from . import matroid as matroid_mod
-from . import quadrics
-from . import schubert
-from . import segre as segre_mod
-from . import toric as toric_mod
 
 SCHEMA_VERSION = 1
 
@@ -90,6 +86,8 @@ def _parse_assignments(text):
 
 def _read_data_argument(text):
     """Inline JSON, or @path to read JSON from a file."""
+    import json
+
     if text.startswith("@"):
         text = _read_text_file(text[1:])
     try:
@@ -99,14 +97,18 @@ def _read_data_argument(text):
 
 
 def _load_fan(args):
+    from . import toric
+
     if getattr(args, "permutohedral", None) is not None:
-        return toric_mod.permutohedral_fan(args.permutohedral)
+        return toric.permutohedral_fan(args.permutohedral)
     if getattr(args, "fan", None):
-        return toric_mod.parse_fan(_read_text_file(args.fan))
+        return toric.parse_fan(_read_text_file(args.fan))
     raise DomainError("need --fan FILE or --permutohedral N")
 
 
 def _load_matroid(args):
+    from . import matroid
+
     sources = [
         args.graph is not None,
         args.uniform is not None,
@@ -115,26 +117,28 @@ def _load_matroid(args):
     if sum(sources) != 1:
         raise DomainError("need exactly one of --graph, --uniform, --matrix")
     if args.graph is not None:
-        g = matroid_mod.parse_graph(_read_text_file(args.graph))
-        return matroid_mod.matroid_from_graph(g), {"graph": args.graph}
+        g = matroid.parse_graph(_read_text_file(args.graph))
+        return matroid.matroid_from_graph(g), {"graph": args.graph}
     if args.uniform is not None:
         values = _parse_int_list(args.uniform)
         if len(values) != 2:
             raise UsageError(f"--uniform takes rank,size, got {args.uniform!r}")
         r, n = values
-        return matroid_mod.uniform_matroid(r, n), {"uniform": [r, n]}
+        return matroid.uniform_matroid(r, n), {"uniform": [r, n]}
     rows = _read_data_argument(args.matrix)
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise DomainError("matrix must be a JSON list of rows")
-    m = matroid_mod.matroid_from_subspace(
+    m = matroid.matroid_from_subspace(
         [[_parse_fraction(str(x)) for x in row] for row in rows]
     )
     return m, {"matrix": rows}
 
 
 def _parse_sigma(text):
+    from . import cells
+
     try:
-        sigma = cells_mod.TwoPermutation.parse(text)
+        sigma = cells.TwoPermutation.parse(text)
     except ValueError:
         raise UsageError(f"--sigma takes digit blocks like '2|13' (elements "
                          f"separated by commas when n >= 10), got {text!r}")
@@ -147,6 +151,8 @@ def _parse_sigma(text):
 # --- handlers -------------------------------------------------------------
 
 def _cmd_monk(args):
+    from . import schubert
+
     w = tuple(_parse_int_list(args.w))
     comb = schubert.monk_multiply(args.i, w)
     result = {
@@ -156,24 +162,30 @@ def _cmd_monk(args):
 
 
 def _cmd_matroid_charpoly(args):
+    from . import matroid
+
     m, echo = _load_matroid(args)
-    poly = matroid_mod.characteristic_polynomial(m)
+    poly = matroid.characteristic_polynomial(m)
     result = {"characteristic": poly, "reduced": None}
     if not poly.is_zero() and m.full_rank() >= 1:
-        result["reduced"] = list(matroid_mod.reduced_coefficients(poly))
+        result["reduced"] = list(matroid.reduced_coefficients(poly))
     return result, echo
 
 
 def _cmd_matroid_reduced(args):
+    from . import matroid
+
     m, echo = _load_matroid(args)
-    return list(matroid_mod.reduced_characteristic_coefficients(m)), echo
+    return list(matroid.reduced_characteristic_coefficients(m)), echo
 
 
 def _cmd_matroid_chromatic(args):
+    from . import matroid
+
     if args.graph is None:
         raise DomainError("chromatic polynomial needs --graph FILE")
-    g = matroid_mod.parse_graph(_read_text_file(args.graph))
-    return matroid_mod.chromatic_polynomial(g), {"graph": args.graph}
+    g = matroid.parse_graph(_read_text_file(args.graph))
+    return matroid.chromatic_polynomial(g), {"graph": args.graph}
 
 
 def _cmd_toric_fan_check(args):
@@ -198,6 +210,8 @@ def _ray_index(i):
 
 
 def _cmd_toric_integral(args):
+    from . import toric
+
     fan = _load_fan(args)
     if args.permutohedral is None:
         # The degree map below holds only on a smooth complete fan.
@@ -223,33 +237,41 @@ def _cmd_toric_integral(args):
         coeff = _parse_fraction(str(item.get("coeff", 1)))
         terms[rays] = terms.get(rays, Fraction(0)) + coeff
     degree = len(next(iter(terms), frozenset()))
-    cls = toric_mod.ToricClass(fan, degree, terms)
-    return toric_mod.toric_integral(cls), {"degree": degree}
+    cls = toric.ToricClass(fan, degree, terms)
+    return toric.toric_integral(cls), {"degree": degree}
 
 
 def _cmd_cells(args):
+    from . import cells
+
     if args.histogram:
         if args.n is None:
             raise UsageError("histogram needs --n")
-        hist = cells_mod.chow_group_dimensions(args.n)
+        hist = cells.chow_group_dimensions(args.n)
         return hist, {"n": args.n}
     raise UsageError("choose a cells action or pass --histogram")
 
 
 def _cmd_cells_enumerate(args):
-    sigmas = cells_mod.enumerate_two_permutations(args.n)
+    from . import cells
+
+    sigmas = cells.enumerate_two_permutations(args.n)
     return [str(s) for s in sigmas], {"n": args.n}
 
 
 def _cmd_cells_weight(args):
+    from . import cells
+
     sigma = _parse_sigma(args.sigma)
-    return cells_mod.weight(sigma), {"sigma": str(sigma)}
+    return cells.weight(sigma), {"sigma": str(sigma)}
 
 
 def _cmd_cells_param(args):
+    from . import cells
+
     sigma = _parse_sigma(args.sigma)
-    param = cells_mod.cell_parametrization(sigma)
-    text = cells_mod.format_entry
+    param = cells.cell_parametrization(sigma)
+    text = cells.format_entry
     result = {
         "sigma": str(sigma),
         "free_variables": list(param.free_variables()),
@@ -262,6 +284,8 @@ def _cmd_cells_param(args):
 
 
 def _cmd_cells_verify(args):
+    from . import cells
+
     sigma = _parse_sigma(args.sigma)
     if args.values is not None:
         values = _parse_assignments(args.values)
@@ -269,7 +293,7 @@ def _cmd_cells_verify(args):
         import random
 
         rng = random.Random(args.seed)
-        param = cells_mod.cell_parametrization(sigma)
+        param = cells.cell_parametrization(sigma)
         values = {
             name: Fraction(rng.randint(1, 20), rng.randint(1, 9))
             * rng.choice([1, -1])
@@ -277,7 +301,7 @@ def _cmd_cells_verify(args):
         }
     else:
         raise DomainError("need --values or --random")
-    ok = cells_mod.verify_cell_point(sigma, values)
+    ok = cells.verify_cell_point(sigma, values)
     return ok, {
         "sigma": str(sigma),
         "values": {k: str(v) for k, v in sorted(values.items())},
@@ -286,16 +310,20 @@ def _cmd_cells_verify(args):
 
 def _cmd_segre_mu(args):
     """`segre mu` and `segre nu`: nu_from_segre is mu_from_segre."""
+    from . import segre
+
     data = _segre_data(args)
-    return segre_mod.mu_from_segre(data, args.i), {"i": args.i}
+    return segre.mu_from_segre(data, args.i), {"i": args.i}
 
 
 def _segre_data(args):
+    from . import segre
+
     raw = _read_data_argument(args.data)
     if not isinstance(raw, dict):
         raise UsageError('Segre data must be a JSON object like {"degF": 4, ...}')
     try:
-        return segre_mod.SegreData(
+        return segre.SegreData(
             degF=raw["degF"], nL=raw["nL"], mY=raw["mY"], s=tuple(raw["s"])
         )
     except KeyError as exc:
@@ -305,8 +333,10 @@ def _segre_data(args):
 
 
 def _cmd_segre_correct(args):
+    from . import segre
+
     s = _parse_int_list(args.s) if args.s else []
-    value = segre_mod.nu_from_mu_correction(args.mu, args.n, len(s) - 1, s)
+    value = segre.nu_from_mu_correction(args.mu, args.n, len(s) - 1, s)
     return value, {"mu": args.mu, "n": args.n, "s": s}
 
 
@@ -339,6 +369,8 @@ def _text_render(value):
 
 def _emit(args, command, result, params, elapsed):
     if args.format == "json":
+        import json
+
         payload = {
             "schema": SCHEMA_VERSION,
             "result": _jsonable(result),
@@ -371,14 +403,18 @@ def _leaf(handler, configure):
     return add
 
 
-def _call(fn, *spec):
-    """A leaf that calls `fn` with one value per spec item, in spec order,
-    and echoes them as params.  An item is the name of a required int
-    option, or (name, help) for a required comma-separated integer list;
-    the handler parses the list, so a malformed one is a domain error."""
+def _call(target, *spec):
+    """A leaf that calls the library function `target`, named "module.attr"
+    and imported only when the leaf runs, with one value per spec item, in
+    spec order, and echoes them as params.  An item is the name of a
+    required int option, or (name, help) for a required comma-separated
+    integer list; the handler parses the list, so a malformed one is a
+    domain error."""
     names = [item if isinstance(item, str) else item[0] for item in spec]
+    module, _, attr = target.partition(".")
 
     def handler(args):
+        fn = getattr(importlib.import_module(f".{module}", __package__), attr)
         values = [
             getattr(args, item) if isinstance(item, str)
             else _parse_int_list(getattr(args, item[0]))
@@ -449,38 +485,38 @@ _CELLS_ACTIONS = {
 
 # The top-level subcommands, in usage order: name -> add(subparsers, name).
 _COMMANDS = {
-    "phi": _call(quadrics.phi, "n", "d"),
-    "phi-poly": _call(quadrics.phi_polynomial, "d"),
-    "delta": _call(quadrics.delta, "m", "n", "r"),
-    "delta-poly": _call(quadrics.delta_polynomial, "m", "s"),
-    "phi-c": _call(quadrics.phi_c, "n", "c", "d"),
+    "phi": _call("quadrics.phi", "n", "d"),
+    "phi-poly": _call("quadrics.phi_polynomial", "d"),
+    "delta": _call("quadrics.delta", "m", "n", "r"),
+    "delta-poly": _call("quadrics.delta_polynomial", "m", "s"),
+    "phi-c": _call("quadrics.phi_c", "n", "c", "d"),
     "product": _call(
-        quadrics.integrate_monomial,
+        "quadrics.integrate_monomial",
         "n",
         ("a", "comma-separated exponents of S_1..S_{n-1}"),
         ("b", "comma-separated exponents of L_1..L_{n-1}"),
     ),
-    "pataki": _call(quadrics.pataki_nonzero, "m", "n", "r"),
-    "flag-integral": _call(schubert.flag_integral, "n", ("b", None)),
+    "pataki": _call("quadrics.pataki_nonzero", "m", "n", "r"),
+    "flag-integral": _call("schubert.flag_integral", "n", ("b", None)),
     "monk": _leaf(_cmd_monk, lambda s: (
         s.add_argument("--i", type=int, required=True),
         s.add_argument("--w", required=True, help="one-line notation, e.g. 2,1,3"),
     )),
     "hypersurface-count": _call(
-        quadrics.hypersurface_characteristic_number, "d", "n", "b"
+        "quadrics.hypersurface_characteristic_number", "d", "n", "b"
     ),
     "matroid": _group({
         "charpoly": _leaf(_cmd_matroid_charpoly, _matroid_source),
         "reduced": _leaf(_cmd_matroid_reduced, _matroid_source),
         "chromatic": _leaf(_cmd_matroid_chromatic, _matroid_source),
         "euler": _call(
-            matroid_mod.euler_characteristic_complement,
+            "matroid.euler_characteristic_complement",
             ("nu", "comma-separated integers"),
         ),
     }),
     "toric": _group({
         "fan-check": _leaf(_cmd_toric_fan_check, _fan_source),
-        "mu-generic": _call(toric_mod.mu_generic, "n"),
+        "mu-generic": _call("toric.mu_generic", "n"),
         "integral": _leaf(_cmd_toric_integral, lambda s: (
             _fan_source(s),
             s.add_argument(
@@ -504,7 +540,7 @@ _COMMANDS = {
             s.add_argument("--n", type=int, required=True),
             s.add_argument("--s", default="", help="comma-separated Segre degrees"),
         )),
-        "compare": _call(segre_mod.mu_nu_inequality_check, ("mu", None), ("nu", None)),
+        "compare": _call("segre.mu_nu_inequality_check", ("mu", None), ("nu", None)),
     }),
 }
 

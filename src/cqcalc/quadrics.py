@@ -527,11 +527,78 @@ def _subsets(low, high, size, total):
         if total == 0:
             yield ()
         return
+    # the largest `size` integers of low..high fall short of `total`
+    if size * high - size * (size - 1) // 2 < total:
+        return
     for i in range(low, high + 1):
         if i * size + size * (size - 1) // 2 > total:
             break
         for rest in _subsets(i + 1, high, size - 1, total - i):
             yield (i,) + rest
+
+
+# `delta` runs `_psi` twice on each index set, O(n^3) each, so its work is
+# (index sets) * n^3.  A call over this budget is refused before its first
+# index set: one unit takes about 24 ns at n = 20..40 and more elsewhere
+# (Python 3.11, shared 2-CPU host), so a refused call would have taken 20 s
+# or more.
+_DELTA_WORK = 10**9
+
+
+def _index_set_count(n, k, m, limit):
+    """The number of k-subsets of 1..n that sum to m, or None when that
+    number is over `limit`.
+
+    Taking 1..k away from such a subset, sorted, leaves a partition of
+    j = m - C(k+1, 2) into at most k parts of at most n - k; their number is
+    the coefficient of q^j in the Gaussian binomial [n, k]_q, whose
+    coefficients are symmetric about k (n - k) / 2 and unimodal (Sylvester),
+    so j is first folded into the lower half and k below n - k.  The DP
+    over (parts, sum) multiplies in (1 - q^(n-k+t)) / (1 - q^t) for
+    t = 1..k; after step t, c[d] counts the partitions of d into at most t
+    parts, which only grows with t, and c at min(j, t (n - k) / 2) is the
+    largest c[d] with d <= j, a lower bound on the answer, so the DP stops
+    as soon as it is over `limit`.
+    """
+    j = m - k * (k + 1) // 2
+    if not 0 <= j <= k * (n - k):
+        return 0
+    if limit < 1:
+        return None
+    j = min(j, k * (n - k) - j)
+    k, width = min(k, n - k), max(k, n - k)
+    counts = [1] + [0] * j
+    for t in range(1, k + 1):
+        for d in range(j, width + t - 1, -1):
+            counts[d] -= counts[d - width - t]
+        for d in range(t, j + 1):
+            counts[d] += counts[d - t]
+        if counts[min(j, t * width // 2)] > limit:
+            return None
+    return counts[j]
+
+
+def _check_delta_work(m, n, rs):
+    """Refuse a sum of delta(m, n, r) over r in `rs` whose index sets, times
+    n^3, are over the budget, before any term runs.  C(n, r) bounds the
+    index sets of one term; they are counted only when those bounds are
+    over the budget."""
+    limit = _DELTA_WORK // n**3
+    bound = 0
+    for r in rs:
+        bound += comb(n, r)
+        if bound > limit:
+            break
+    else:
+        return
+    for r in rs:
+        count = _index_set_count(n, n - r, m, limit)
+        if count is None:
+            raise DomainError(
+                f"delta(m={m}, n={n}) needs over {_DELTA_WORK // n**3} index "
+                f"sets at O(n^3) each, past its work budget"
+            )
+        limit -= count
 
 
 def phi(n, d):
@@ -569,6 +636,7 @@ def delta(m, n, r):
         raise DomainError(f"m={m} out of range 1..{top - 1}")
     if not 0 < r < n:
         raise DomainError(f"r={r} out of range 1..{n - 1}")
+    _check_delta_work(m, n, (r,))
     total = 0
     for index in _subsets(1, n, n - r, m):
         rest = tuple(j for j in range(1, n + 1) if j not in index)
@@ -600,6 +668,7 @@ def phi_c(n, c, d):
     if not 1 <= d < top:
         raise DomainError(f"d={d} out of range 1..{top - 1}")
     denominator, expansion = _mixed_basis_expansion(n, c, frozenset(range(1, n)))
+    _check_delta_work(d, n, [r for _, r in expansion])
     total = sum(coeff * delta(d, n, r) for (_, r), coeff in expansion.items())
     value, rest = divmod(total, denominator)
     if rest:

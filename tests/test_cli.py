@@ -694,3 +694,55 @@ def test_call_leaves_echo_parsed_values(capsys, argv, params):
     assert code == 0 and err == ""
     meta = json.loads(out)["meta"]
     assert meta == {"command": _command(argv), "params": params}
+
+
+# --- what a cold `cq` process imports ---------------------------------------
+
+# The library modules each leaf's handler loads, by the leaf's first word;
+# every `cq` process also loads cqcalc, cqcalc.cli and cqcalc.exactmath.
+LEAF_MODULES = {
+    **dict.fromkeys(
+        ("phi", "phi-poly", "delta", "delta-poly", "phi-c", "product", "pataki",
+         "hypersurface-count"),
+        {"quadrics", "schubert"},
+    ),
+    "flag-integral": {"schubert"},
+    "monk": {"schubert"},
+    "matroid": {"matroid"},
+    "toric": {"toric"},
+    "cells": {"cells"},
+    "segre": {"segre"},
+}
+# Options whose value is JSON data.
+JSON_OPTIONS = {"--matrix", "--class", "--data"}
+FOOTPRINT_CODE = (
+    "import sys\n"
+    "from cqcalc.cli import main\n"
+    "main()\n"
+    "loaded = sorted(m for m in sys.modules if m.startswith('cqcalc'))\n"
+    "print(*loaded, 'json' in sys.modules, file=sys.stderr)\n"
+)
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV, ids=_command)
+def test_cold_leaf_loads_only_its_modules(tmp_path, argv):
+    from cqcalc.toric import format_fan, permutohedral_fan
+
+    (tmp_path / "c4.txt").write_text("4 4\n1 2\n2 3\n3 4\n4 1\n")
+    (tmp_path / "hexagon.txt").write_text(format_fan(permutohedral_fan(2)))
+    (tmp_path / "nu.json").write_text('{"degF": 4, "nL": 2, "mY": 1, "s": [0, 6]}')
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT_CODE, *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, check=True)
+    *loaded, json_loaded = proc.stderr.splitlines()[-1].split()
+    modules = {"cli", "exactmath", *LEAF_MODULES[argv[0]]}
+    assert loaded == sorted(["cqcalc", *(f"cqcalc.{m}" for m in modules)])
+    # text output and integer options never need json
+    assert json_loaded == str("json" in argv or bool(JSON_OPTIONS & set(argv)))
+
+
+def test_domain_error_past_delta_work_budget(capsys):
+    code, out, err = run_cli(capsys, "delta", "--m", "400", "--n", "40", "--r", "20")
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "work budget" in err

@@ -1,5 +1,6 @@
 import pickle
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -671,3 +672,48 @@ def test_hypersurface_characteristic_number():
         hypersurface_characteristic_number(5, 2, 9)
     with pytest.raises(DomainError, match="outside theorem hypotheses"):
         hypersurface_characteristic_number(4, 2, 0)
+
+
+def test_index_set_count_matches_enumeration():
+    for n in range(1, 10):
+        for k in range(n + 1):
+            for m in range(-1, binomial(n + 1, 2) + 2):
+                count = sum(1 for c in combinations(range(1, n + 1), k) if sum(c) == m)
+                assert sum(1 for _ in quadrics._subsets(1, n, k, m)) == count
+                assert quadrics._index_set_count(n, k, m, count) == count
+                if count:
+                    assert quadrics._index_set_count(n, k, m, count - 1) is None
+
+
+def test_delta_over_budget_is_refused_at_once():
+    # C(40, 20) index sets, 1,420,064,031 of them summing to 400, each two
+    # 40 x 40 Pfaffians
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="work budget"):
+        delta(400, 40, 20)
+    assert time.perf_counter() - start < 1
+
+
+def test_phi_over_budget_is_refused_before_any_term(monkeypatch):
+    def no_pfaffian(index):
+        raise AssertionError("a delta term ran")
+
+    monkeypatch.setattr(quadrics, "_psi", no_pfaffian)
+    for call in (lambda: phi(40, 400), lambda: phi_c(40, 3, 400)):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="work budget"):
+            call()
+        assert time.perf_counter() - start < 1
+
+
+def test_phi_within_budget_still_answers():
+    # phi(n, d) is a polynomial in n of degree d - 1, sampled at small n
+    assert phi(20, 10) == phi_polynomial(10)(20)
+    assert phi(30, 20) == phi_polynomial(20)(30)
+
+
+def test_delta_outside_pataki_window_is_zero_at_once():
+    # no 20-subset of 1..40 sums to 700: the enumeration prunes it at once
+    start = time.perf_counter()
+    assert delta(700, 40, 20) == 0 and not pataki_nonzero(700, 40, 20)
+    assert time.perf_counter() - start < 1
