@@ -110,17 +110,19 @@ def enumerate_two_permutations(n):
         raise DomainError("need n >= 1")
     out = []
 
+    # Each next block is (e,) and then every (e, f) with f > e, for e in
+    # increasing order, so the block sequences come out in order.
     def extend(remaining, blocks):
         if not remaining:
             out.append(TwoPermutation(blocks))
             return
-        elems = sorted(remaining)
-        for size in (1, 2):
-            for block in combinations(elems, size):
-                extend(remaining - set(block), blocks + [block])
+        for k, e in enumerate(remaining):
+            rest = remaining[:k] + remaining[k + 1 :]
+            extend(rest, blocks + [(e,)])
+            for m in range(k, len(rest)):
+                extend(rest[:m] + rest[m + 1 :], blocks + [(e, rest[m])])
 
-    extend(set(range(1, n + 1)), [])
-    out.sort(key=lambda s: s.blocks)
+    extend(tuple(range(1, n + 1)), [])
     return out
 
 

@@ -252,13 +252,6 @@ def _cmd_cells(args):
     raise UsageError("choose a cells action or pass --histogram")
 
 
-def _cmd_cells_enumerate(args):
-    from . import cells
-
-    sigmas = cells.enumerate_two_permutations(args.n)
-    return [str(s) for s in sigmas], {"n": args.n}
-
-
 def _cmd_cells_weight(args):
     from . import cells
 
@@ -466,9 +459,7 @@ def _fan_source(s):
 
 
 _CELLS_ACTIONS = {
-    "enumerate": _leaf(_cmd_cells_enumerate, lambda s: (
-        s.add_argument("--n", type=int, required=True),
-    )),
+    "enumerate": _call("cells.enumerate_two_permutations", "n"),
     "weight": _leaf(_cmd_cells_weight, lambda s: (
         s.add_argument("--sigma", required=True, help='bar syntax, e.g. "2|13"'),
     )),

@@ -20,6 +20,12 @@ first scaled to integers, and all-`int` rows are used as they are.
 `interpolate` is `solve_linear_system` on the Vandermonde system of its
 points.
 
+The integer invariants of the engines (flag integrals, CQ_n products,
+phi_c, localization sums) each end in one division of an integer sum that
+must be exact, and `exact_quotient` is the one check on it: it returns
+the quotient, or raises RuntimeError naming the value when a remainder is
+left.
+
 Equivariant localization (Atiyah-Bott, Topology 23, 1984) has one kernel,
 `localization_sum`: the exact integer sum of f(p) / e(p) over the fixed
 points p of a torus action, from the integer values of the integrand f
@@ -132,9 +138,16 @@ def localization_sum(terms):
     if common == 0:
         raise DomainError("zero weight at a fixed point")
     total = sum(f * (common // e) for f, e in terms)
-    value, rest = divmod(total, common)
+    return exact_quotient(total, common, "localization sum")
+
+
+def exact_quotient(total, divisor, what):
+    """total // divisor for ints that must divide exactly; a remainder means
+    a value that should be an integer is not, and raises RuntimeError
+    naming `what`."""
+    value, rest = divmod(total, divisor)
     if rest:
-        raise RuntimeError(f"non-integer localization sum {total}/{common}")
+        raise RuntimeError(f"non-integer {what} {total}/{divisor}")
     return value
 
 

@@ -52,8 +52,9 @@ C(s, x) F(b - (s+1) e_i + x e_{i-1} + y e_{i+1}).
 What a node needs of its degeneration exponents a alone -- its kind, the
 first surplus slot with its lowered a, the flag factor 2^C(n,2), the zero
 slots and their set, the cut steps of the bound -- is worked out once per
-(n, a) into a `_Shape` record by `_shape`, an lru_cache that
-`clear_caches` empties; there are at most 3^(n-1) such a against many b.
+(n, a) by `_shape`, an lru_cache that `clear_caches` empties, as a pair
+(kind, data) whose data holds only what that kind reads; there are at
+most 3^(n-1) such a against many b.
 
 For n = 2 the space is the plane of binary quadrics and the same relations
 hold with S_1 = 2 L_1, so no special casing is needed.
@@ -83,6 +84,7 @@ from .exactmath import (
     FrozenRecord,
     UnivariatePolynomial,
     binomial,
+    exact_quotient,
     integer_exponents,
     interpolate,
     solve_linear_system,
@@ -233,40 +235,6 @@ def clear_caches():
     schubert.clear_caches()
 
 
-class _Shape:
-    """What a reduction node on CQ_n learns from its degeneration exponents
-    a alone; `_shape` builds one per (n, a).
-
-    kind is "surplus" (some a_i >= 2), "flag" (every a_i = 1), "single"
-    (exactly one a_i = 0) or "open"; a field that the kind does not use is
-    None.
-
-    * children, lowered: at the first surplus slot i, the (slot,
-      coefficient) pairs of S_i = -L_{i-1} + 2 L_i - L_{i+1}, and a with
-      a_i one less.
-    * flag_factor: 2^C(n,2), the 2^(sum of b) of a flag leaf, whose b has
-      degree C(n,2) = dim Fl_n; a single node's leaves take it too.
-    * zero_slots, zero_set: the slots i with a_i = 0, and (open nodes only)
-      the X = {i + 1} of `_mixed_basis_expansion`.
-    * cuts: for an open node, the steps of the longest-path bound over the
-      cut points of a, from `_cut_steps`.  Flag and single nodes skip the
-      bound.
-    """
-
-    __slots__ = (
-        "kind", "children", "lowered", "flag_factor", "zero_slots", "zero_set", "cuts",
-    )
-
-    def __init__(self, kind, children, lowered, flag_factor, zero_slots, zero_set, cuts):
-        self.kind = kind
-        self.children = children
-        self.lowered = lowered
-        self.flag_factor = flag_factor
-        self.zero_slots = zero_slots
-        self.zero_set = zero_set
-        self.cuts = cuts
-
-
 def _cut_steps(n, a):
     """The steps of `_exceeds_stratum`'s longest path over the cut points
     of a (0, n and the i with a_i != 0), as (steps, last).
@@ -290,21 +258,34 @@ def _cut_steps(n, a):
 
 @lru_cache(maxsize=None)
 def _shape(n, a):
-    """The `_Shape` of the degeneration exponents a on CQ_n."""
+    """What a reduction node on CQ_n learns from its degeneration exponents
+    a alone, as a pair (kind, data):
+
+    * ("surplus", (children, lowered)) when some a_i >= 2: at the first
+      such slot i, the (slot, coefficient) pairs of
+      S_i = -L_{i-1} + 2 L_i - L_{i+1}, and a with a_i one less;
+    * ("flag", 2^C(n,2)) when every a_i = 1: the 2^(sum of b) of a flag
+      leaf, whose b has degree C(n,2) = dim Fl_n;
+    * ("single", (i, 2^C(n,2))) when a_i = 0 at slot i alone; the node's
+      flag leaves take the same factor;
+    * ("open", (zero_slots, zero_set, cuts)) otherwise: the slots i with
+      a_i = 0, the X = {i + 1} of `_mixed_basis_expansion`, and the steps
+      of the stratum bound from `_cut_steps`.  Flag and single nodes skip
+      the bound.
+    """
     if max(a) >= 2:
         i = 0
         while a[i] < 2:
             i += 1
         children = [(j, c) for j, c in ((i - 1, -1), (i, 2), (i + 1, -1)) if 0 <= j <= n - 2]
-        lowered = a[:i] + (a[i] - 1,) + a[i + 1 :]
-        return _Shape("surplus", children, lowered, None, None, None, None)
+        return "surplus", (children, a[:i] + (a[i] - 1,) + a[i + 1 :])
     if min(a) == 1:
-        return _Shape("flag", None, None, 2 ** binomial(n, 2), None, None, None)
+        return "flag", 2 ** binomial(n, 2)
     zero_slots = [i for i, x in enumerate(a) if not x]
     if len(zero_slots) == 1:
-        return _Shape("single", None, None, 2 ** binomial(n, 2), zero_slots, None, None)
+        return "single", (zero_slots[0], 2 ** binomial(n, 2))
     zero_set = frozenset([i + 1 for i in zero_slots])
-    return _Shape("open", None, None, None, zero_slots, zero_set, _cut_steps(n, a))
+    return "open", (zero_slots, zero_set, _cut_steps(n, a))
 
 
 def _exceeds_stratum(n, a, b):
@@ -327,10 +308,11 @@ def _exceeds_stratum(n, a, b):
     block) - d + 2 + 2 b_q instead.  The monomial dies when the best path
     to n scores above n^2, and the walk stops as soon as a path that goes
     on straight to n would.  At an open node, the only kind the reduction
-    asks, the steps come from the shape record of a; any other a has them
-    worked out afresh.
+    asks, the steps are the last item of `_shape`'s data for a; any other a
+    has them worked out afresh.
     """
-    steps, last = _shape(n, a).cuts or _cut_steps(n, a)
+    kind, data = _shape(n, a)
+    steps, last = data[2] if kind == "open" else _cut_steps(n, a)
     limit = n * n
     best = [0]
     for p, hi, rise, squares, to_n in steps:
@@ -354,7 +336,7 @@ def _exceeds_stratum(n, a, b):
     return top > limit
 
 
-def _one_free_slot(n, i, b, flag_factor):
+def _one_free_slot(n, i, flag_factor, b):
     """Integer value of S^a L^b on CQ_n where a has its only 0 at slot i.
 
     There X = {i + 1} and L_{i+1} = (S_{i+1} + L_i + L_{i+2}) / 2, so
@@ -392,10 +374,7 @@ def _one_free_slot(n, i, b, flag_factor):
         total += subtotal << (top - s - 1)
     total *= flag_factor
     # Every leaf is a top-degree class, so the sum is an integer.
-    value, rest = divmod(total, 1 << top)
-    if rest:
-        raise RuntimeError(f"non-integer intersection product {total}/{1 << top}")
-    return value
+    return exact_quotient(total, 1 << top, "intersection product")
 
 
 def _reduce(n, a, b, pick):
@@ -406,25 +385,26 @@ def _reduce(n, a, b, pick):
         if cached is not None:
             return cached
 
-    shape = _shape(n, a)
-    if shape.kind == "surplus":
+    kind, data = _shape(n, a)
+    if kind == "surplus":
         # Surplus degeneration factors: trade one S_i for its L-expansion.
-        lowered = shape.lowered
+        children, lowered = data
         value = 0
-        for j, coeff in shape.children:
+        for j, coeff in children:
             value += coeff * _reduce(n, lowered, b[:j] + (b[j] + 1,) + b[j + 1 :], pick)
-    elif shape.kind == "flag":
+    elif kind == "flag":
         # Fully degenerate locus: a flag variety, with each L_i restricting
         # to twice a Schubert divisor.  A zero here is a volume-table miss,
         # cheaper than the stratum bound.
-        value = shape.flag_factor * _weyl_integral(n, b) if 0 not in b else 0
-    elif shape.kind == "single":
-        value = _one_free_slot(n, shape.zero_slots[0], b, shape.flag_factor)
+        value = data * _weyl_integral(n, b) if 0 not in b else 0
+    elif kind == "single":
+        value = _one_free_slot(n, *data, b)
     elif _exceeds_stratum(n, a, b):
         # L^b has more degree than the data it factors through on Z_A.
         value = 0
     else:
-        candidates = [i for i in shape.zero_slots if b[i] > 0]
+        zero_slots, zero_set, _ = data
+        candidates = [i for i in zero_slots if b[i] > 0]
         if not candidates:
             # Every missing degeneration direction also misses hyperplane
             # factors, and the product dies on a smaller partial-flag locus.
@@ -433,11 +413,11 @@ def _reduce(n, a, b, pick):
             value = 0
         else:
             i = candidates[0] if pick is None else pick(candidates)
-            denominator, expansion = _mixed_basis_expansion(n, i + 1, shape.zero_set)
+            denominator, expansion = _mixed_basis_expansion(n, i + 1, zero_set)
             lowered_b = b[:i] + (b[i] - 1,) + b[i + 1 :]
             total = 0
-            for (kind, j), coeff in expansion.items():
-                if kind == "S":
+            for (basis, j), coeff in expansion.items():
+                if basis == "S":
                     new_a, new_b = a[: j - 1] + (1,) + a[j:], lowered_b
                 else:
                     new_a = a
@@ -446,11 +426,7 @@ def _reduce(n, a, b, pick):
                     new_b = tuple(new_b)
                 total += coeff * _reduce(n, new_a, new_b, pick)
             # Every term is a top-degree class, so the sum is an integer.
-            value, rest = divmod(total, denominator)
-            if rest:
-                raise RuntimeError(
-                    f"non-integer intersection product {total}/{denominator}"
-                )
+            value = exact_quotient(total, denominator, "intersection product")
 
     if memoize:
         _product_memo[(n, a, b)] = value
@@ -670,10 +646,7 @@ def phi_c(n, c, d):
     denominator, expansion = _mixed_basis_expansion(n, c, frozenset(range(1, n)))
     _check_delta_work(d, n, [r for _, r in expansion])
     total = sum(coeff * delta(d, n, r) for (_, r), coeff in expansion.items())
-    value, rest = divmod(total, denominator)
-    if rest:
-        raise RuntimeError(f"non-integer phi_c {total}/{denominator}")
-    return value
+    return exact_quotient(total, denominator, "phi_c")
 
 
 def phi_polynomial(d):

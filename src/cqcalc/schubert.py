@@ -38,7 +38,7 @@ table build equal ones).
 
 from math import factorial, prod
 
-from .exactmath import DomainError, binomial, integer_exponents
+from .exactmath import DomainError, binomial, exact_quotient, integer_exponents
 
 # variable count -> volume table of the interval factors on that many variables
 _integral_memo = {}
@@ -274,10 +274,7 @@ def _weyl_integral(n, b):
     else:
         numerator = _dealt_count(n, b) * prod(factorial(x) for x in b)
         denominator = prod(factorial(k) for k in range(1, n))
-    value, rest = divmod(numerator, denominator)
-    if rest:
-        raise RuntimeError(f"non-integer flag integral {numerator}/{denominator}")
-    return value
+    return exact_quotient(numerator, denominator, "flag integral")
 
 
 def _dealt_count(n, b):

@@ -100,8 +100,9 @@ def test_enumeration_is_sorted_and_valid():
     assert [str(s) for s in sigmas] == ["1|2", "12", "2|1"]
     sigmas3 = enumerate_two_permutations(3)
     assert len(set(map(str, sigmas3))) == 12
-    blocks = [s.blocks for s in sigmas3]
-    assert blocks == sorted(blocks)
+    for n in range(1, 7):
+        blocks = [s.blocks for s in enumerate_two_permutations(n)]
+        assert blocks == sorted(blocks)
 
 
 def test_weights_match_table():

@@ -671,6 +671,7 @@ CALL_LEAVES = [
      {"d": 5, "n": 2, "b": 1}),
     (("matroid", "euler", "--nu", "1,2,1"), {"nu": [1, 2, 1]}),
     (("toric", "mu-generic", "--n", "3"), {"n": 3}),
+    (("cells", "enumerate", "--n", "3"), {"n": 3}),
     (("segre", "compare", "--mu", "1,2", "--nu", "1,-2"),
      {"mu": [1, 2], "nu": [1, -2]}),
 ]

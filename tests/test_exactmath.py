@@ -9,6 +9,7 @@ from cqcalc.exactmath import (
     UnivariatePolynomial,
     binomial,
     determinant,
+    exact_quotient,
     interpolate,
     is_log_concave,
     localization_sum,
@@ -227,3 +228,11 @@ def test_localization_sum():
         localization_sum([(1, 2), (5, 0)])
     with pytest.raises(RuntimeError, match="non-integer localization sum 5/6"):
         localization_sum([(1, 2), (1, 3)])
+
+
+def test_exact_quotient():
+    assert exact_quotient(12, 4, "x") == 3
+    assert exact_quotient(-6 * 10**40, 3, "x") == -2 * 10**40
+    with pytest.raises(RuntimeError) as raised:
+        exact_quotient(5, 3, "x")
+    assert str(raised.value) == "non-integer x 5/3"
