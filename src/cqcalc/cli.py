@@ -474,6 +474,12 @@ _CELLS_ACTIONS = {
     )),
 }
 
+# nu_from_segre is mu_from_segre, so `segre mu` and `segre nu` are one leaf.
+_SEGRE_EVALUATE = _leaf(_cmd_segre_mu, lambda s: (
+    s.add_argument("--data", required=True, help="JSON Segre data (or @file)"),
+    s.add_argument("--i", type=int, required=True),
+))
+
 # The top-level subcommands, in usage order: name -> add(subparsers, name).
 _COMMANDS = {
     "phi": _call("quadrics.phi", "n", "d"),
@@ -518,14 +524,8 @@ _COMMANDS = {
     }),
     "cells": _add_cells,
     "segre": _group({
-        "mu": _leaf(_cmd_segre_mu, lambda s: (
-            s.add_argument("--data", required=True, help="JSON Segre data (or @file)"),
-            s.add_argument("--i", type=int, required=True),
-        )),
-        "nu": _leaf(_cmd_segre_mu, lambda s: (
-            s.add_argument("--data", required=True),
-            s.add_argument("--i", type=int, required=True),
-        )),
+        "mu": _SEGRE_EVALUATE,
+        "nu": _SEGRE_EVALUATE,
         "correct": _leaf(_cmd_segre_correct, lambda s: (
             s.add_argument("--mu", type=int, required=True),
             s.add_argument("--n", type=int, required=True),

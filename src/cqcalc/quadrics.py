@@ -13,10 +13,10 @@ divisor of the transposition s_{n-i} (the extra 2 comes from the rank-one
 locus sitting in its ambient space by a quadratic Veronese map), so the
 value there is 2^(sum of exponents) times a flag-variety integral, read
 off the Weyl volume polynomial (Monk's rule is its test oracle).  The
-reduction builds these flag leaves itself, with exponents already checked,
-so it sends them straight to `schubert._weyl_integral` rather than through
-`flag_integral`; a leaf with a 0 exponent is 0 and never reaches the
-table, whose key packing takes every exponent to be at least 1.
+reduction builds these flag leaves itself, with exponents of the right
+count and degree, so it sends them straight to `schubert._weyl_integral`
+rather than through `flag_integral`'s argument checks; a leaf with a 0
+exponent is 0 there, before its table is read.
 
 The rewriting expands hyperplane classes in mixed bases of S's and L's.
 Their coordinates come from the closed-form inverse of the Cartan matrix
@@ -35,9 +35,9 @@ variety whose fibres are smaller CQ_m (see `_exceeds_stratum`).  A product
 of pulled-back classes of degree above the dimension of the space they
 come from is 0, so such a node is answered 0 before it recurses.  The
 flag leaves (every a_i = 1) skip the bound: they go straight to the flag
-layer, where a vanishing integral is a miss in its volume table and costs
-less than the bound.  The surplus nodes (some a_i >= 2) carry signed terms
-and are rewritten as before.
+layer, where a vanishing integral is a 0 exponent or a miss in its volume
+table and costs less than the bound.  The surplus nodes (some a_i >= 2)
+carry signed terms and are rewritten as before.
 
 A node with exactly one a_i = 0 is the integral of L^b over the stratum
 cut out by every other S_j, which fibres over a partial flag variety with
@@ -237,23 +237,22 @@ def clear_caches():
 
 def _cut_steps(n, a):
     """The steps of `_exceeds_stratum`'s longest path over the cut points
-    of a (0, n and the i with a_i != 0), as (steps, last).
+    of a (0, n and the i with a_i != 0), one list with the step to n last.
 
-    A cut point q < n has the step (p, q - 1, 2 - (q - p), squares,
+    The cut point q has the step (p, q - 1, 2 - (q - p), squares,
     (n - q)^2): b[p:q-1] is the block from the previous cut point p,
     b[q-1] is b_q, and squares lists (q - c)^2 over the cut points c before
-    q.  last is (p, 2 - (n - p), squares) for the step to n, whose block is
-    b[p:].
+    q.  For q = n the block b[p:n-1] is b[p:], b_n = 0 has no slot, and
+    the last item is 0.
     """
     points, steps = [0], []
-    for q, x in enumerate(a, 1):
+    for q, x in enumerate(a + (1,), 1):
         if x:
             p = points[-1]
             squares = [(q - c) ** 2 for c in points]
             steps.append((p, q - 1, 2 - q + p, squares, (n - q) ** 2))
             points.append(q)
-    p = points[-1]
-    return steps, (p, 2 - n + p, [(n - c) ** 2 for c in points])
+    return steps
 
 
 @lru_cache(maxsize=None)
@@ -303,16 +302,17 @@ def _exceeds_stratum(n, a, b):
 
     The best (P, T) is a longest path over the cut points, scored twice
     over so that it stays integral: a step of length d that ends on the cut
-    point q earns d^2 + 2 b_q (b_n = 0), and a step between neighbouring
-    cut points that takes its block into T earns 2 (b summed inside the
-    block) - d + 2 + 2 b_q instead.  The monomial dies when the best path
-    to n scores above n^2, and the walk stops as soon as a path that goes
-    on straight to n would.  At an open node, the only kind the reduction
-    asks, the steps are the last item of `_shape`'s data for a; any other a
-    has them worked out afresh.
+    point q earns d^2 + 2 b_q, and a step between neighbouring cut points
+    that takes its block into T earns 2 (b summed inside the block) - d + 2
+    + 2 b_q instead; b_n = 0, so the step to n adds no b_q.  The monomial
+    dies when the best path to n scores above n^2, and the walk stops as
+    soon as a path that goes on straight to n would; at the step to n,
+    whose last item is 0, that is the same test.  At an open node, the only
+    kind the reduction asks, the steps are the last item of `_shape`'s data
+    for a; any other a has them worked out afresh.
     """
     kind, data = _shape(n, a)
-    steps, last = data[2] if kind == "open" else _cut_steps(n, a)
+    steps = data[2] if kind == "open" else _cut_steps(n, a)
     limit = n * n
     best = [0]
     for p, hi, rise, squares, to_n in steps:
@@ -322,18 +322,13 @@ def _exceeds_stratum(n, a, b):
             v += square
             if v > top:
                 top = v
-        top += 2 * b[hi]
+        if hi < n - 1:
+            top += 2 * b[hi]
         if top + to_n > limit:
             # the step from here straight to n already scores above n^2
             return True
         best.append(top)
-    p, rise, squares = last
-    top = best[-1] + 2 * sum(b[p:]) + rise if p < n - 1 else 0
-    for v, square in zip(best, squares):
-        v += square
-        if v > top:
-            top = v
-    return top > limit
+    return False
 
 
 def _one_free_slot(n, i, flag_factor, b):
@@ -347,7 +342,8 @@ def _one_free_slot(n, i, flag_factor, b):
     leaf contributes C(s, x) F(b - (s+1) e_i + x e_{i-1} + y e_{i+1}) /
     2^(s+1).  A missing neighbour (i at an end, or n = 2) keeps its share
     at 0.  The sum is scaled by 2^(b_i) and divided once at the end.  A
-    leaf with a 0 exponent is 0 and is skipped before the table is asked.
+    0 outside slots i - 1..i + 1 is in every leaf, so the node is 0 at
+    once; a leaf with a 0 at a neighbour is 0 in `_weyl_integral`.
     """
     top = b[i]
     left = i > 0
@@ -356,16 +352,13 @@ def _one_free_slot(n, i, flag_factor, b):
     if 0 in b[: i - 1 if left else i] or 0 in b[i + 2 if right else i + 1 :]:
         return 0
     leaf = list(b)
-    # a neighbour at 0 must take at least one unit
-    low_x = 1 if left and not b[i - 1] else 0
-    low_y = 1 if right and not b[i + 1] else 0
     total = 0
     # the leaf of a path of s steps keeps b_i - s - 1 >= 1 at slot i
     for s in range(top - 1):
         leaf[i] = top - s - 1
         subtotal = 0
         # x of the s units go left and s - x right; a missing side takes none
-        for x in range(max(low_x, 0 if right else s), min(s - low_y, s if left else 0) + 1):
+        for x in range(0 if right else s, (s if left else 0) + 1):
             if left:
                 leaf[i - 1] = b[i - 1] + x
             if right:
@@ -394,9 +387,9 @@ def _reduce(n, a, b, pick):
             value += coeff * _reduce(n, lowered, b[:j] + (b[j] + 1,) + b[j + 1 :], pick)
     elif kind == "flag":
         # Fully degenerate locus: a flag variety, with each L_i restricting
-        # to twice a Schubert divisor.  A zero here is a volume-table miss,
-        # cheaper than the stratum bound.
-        value = data * _weyl_integral(n, b) if 0 not in b else 0
+        # to twice a Schubert divisor.  A zero here, a 0 exponent or a
+        # volume-table miss, is cheaper than the stratum bound.
+        value = data * _weyl_integral(n, b)
     elif kind == "single":
         value = _one_free_slot(n, *data, b)
     elif _exceeds_stratum(n, a, b):
@@ -556,17 +549,10 @@ def _index_set_count(n, k, m, limit):
 
 def _check_delta_work(m, n, rs):
     """Refuse a sum of delta(m, n, r) over r in `rs` whose index sets, times
-    n^3, are over the budget, before any term runs.  C(n, r) bounds the
-    index sets of one term; they are counted only when those bounds are
-    over the budget."""
+    n^3, are over the budget, before any term runs.  Each term's index sets
+    are counted by `_index_set_count` against what is left of the budget,
+    which stops as soon as the count is past it."""
     limit = _DELTA_WORK // n**3
-    bound = 0
-    for r in rs:
-        bound += comb(n, r)
-        if bound > limit:
-            break
-    else:
-        return
     for r in rs:
         count = _index_set_count(n, n - r, m, limit)
         if count is None:

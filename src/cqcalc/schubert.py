@@ -9,7 +9,9 @@ class of the transposition s_k) have two routes:
 * by default the Weyl volume polynomial: the integral of prod D_k^{e_k}
   is (prod e_k!) times the coefficient of t^e in
   prod_{i<j} (t_i + ... + t_{j-1}) / (j - i), the leading term of the Weyl
-  dimension formula.  The coefficients are read from a volume table, built
+  dimension formula.  The n-1 factors t_i take one from every exponent, so
+  a 0 exponent gives 0 at once, in `_weyl_integral` itself for every
+  caller.  The other coefficients are read from a volume table, built
   once per memo lifetime and kept in `_integral_memo` under its variable
   count: every coefficient of the product of the interval factors on at
   most `TABLE_VARIABLES` = 7 variables (Fl_8), keyed by the exponent
@@ -46,11 +48,14 @@ _integral_memo = {}
 # largest variable count a volume table is built for
 TABLE_VARIABLES = 7
 
-# k! for every exponent up to C(8,2), the dimension of Fl_8, and
-# prod_{k<n} k! for n <= 8: the factorials of a one-lookup flag integral.
-_FACTORIALS = tuple(factorial(k) for k in range(binomial(TABLE_VARIABLES + 1, 2) + 1))
+# largest n of an Fl_n that `flag_integral` computes
+FLAG_REACH = 12
+
+# k! for every exponent up to C(12,2), the dimension of Fl_12, and
+# prod_{k<n} k! for n <= 12: the factorials of every flag integral.
+_FACTORIALS = tuple(factorial(k) for k in range(binomial(FLAG_REACH, 2) + 1))
 _FLAG_DENOMINATORS = tuple(prod(factorial(k) for k in range(1, n))
-                           for n in range(TABLE_VARIABLES + 2))
+                           for n in range(FLAG_REACH + 1))
 
 
 def validate_permutation(w):
@@ -195,25 +200,24 @@ def flag_integral(n, b, order=None):
     the Weyl volume polynomial through the memoized volume table; an
     explicit `order` (a sequence of slots, each slot s repeated b_s times)
     computes it with Monk's rule in that order instead, which the tests use
-    as the oracle.  Both routes refuse n > 12 before any work: balanced
-    exponents take about 2.6 s and 47 MB at n = 12 and 30 s and 270 MB at
-    n = 13 (Python 3.11, shared 2-CPU host).
+    as the oracle.  Both routes refuse n > `FLAG_REACH` = 12 before any
+    work: balanced exponents take about 2.6 s and 47 MB at n = 12 and 30 s
+    and 270 MB at n = 13 (Python 3.11, shared 2-CPU host).
     """
     b = integer_exponents(b)
     if n < 2:
         raise DomainError(f"Fl_n needs n >= 2, got n={n}")
     if len(b) != n - 1:
         raise DomainError(f"need {n-1} exponents for Fl_{n}, got {b!r}")
-    low = min(b)
-    if low < 0:
+    if min(b) < 0:
         raise DomainError("negative exponent")
     if sum(b) != n * (n - 1) // 2:
         raise DomainError("degree mismatch")
-    if n > 12:
-        raise DomainError(f"flag integral needs n <= 12, got n = {n}")
+    if n > FLAG_REACH:
+        raise DomainError(f"flag integral needs n <= {FLAG_REACH}, got n = {n}")
     if order is not None:
         return _monk_integral(n, b, order)
-    return _weyl_integral(n, b) if low else 0
+    return _weyl_integral(n, b)
 
 
 def _volume_table(size):
@@ -249,16 +253,18 @@ def _weyl_integral(n, b):
     where slot s carries t_{n-s}, so e is b reversed.
 
     The n-1 single-variable factors t_i take one from every exponent,
-    leaving the exponents b_s - 1; every caller (`flag_integral` and the
-    flag leaves of `quadrics`) answers 0 for a zero exponent before it gets
-    here, as the key packing and `_dealt_count` take each b_s - 1 >= 0.
-    Up to Fl_8 the interval factors are those of the volume table on n-1
-    variables, so the coefficient is one lookup: the key packs the b_s - 1
-    straight from b, and since these sum to C(n-1,2), one less than the
-    table's base, every digit is below the base and no two exponent
-    vectors share a key; a key the table lacks has coefficient 0.  The factorials come from `_FACTORIALS` and
-    `_FLAG_DENOMINATORS`.  A larger Fl_n takes `_dealt_count`.
+    leaving the exponents b_s - 1, so a zero exponent is 0 here, before any
+    table is read or any row dealt; the key packing and `_dealt_count` take
+    each b_s - 1 >= 0.  Up to Fl_8 the interval factors are those of the
+    volume table on n-1 variables, so the coefficient is one lookup: the key
+    packs the b_s - 1 straight from b, and since these sum to C(n-1,2), one
+    less than the table's base, every digit is below the base and no two
+    exponent vectors share a key; a key the table lacks has coefficient 0.
+    A larger Fl_n, up to `FLAG_REACH`, takes `_dealt_count`.  Either way the
+    factorials come from `_FACTORIALS` and `_FLAG_DENOMINATORS`.
     """
+    if 0 in b:
+        return 0
     size = n - 1
     if size <= TABLE_VARIABLES:
         base = size * (size - 1) // 2 + 1
@@ -266,15 +272,13 @@ def _weyl_integral(n, b):
         for x in b:
             key = key * base + x - 1
         numerator = _volume_table(size).get(key, 0)
-        if not numerator:
-            return 0
-        for x in b:
-            numerator *= _FACTORIALS[x]
-        denominator = _FLAG_DENOMINATORS[n]
     else:
-        numerator = _dealt_count(n, b) * prod(factorial(x) for x in b)
-        denominator = prod(factorial(k) for k in range(1, n))
-    return exact_quotient(numerator, denominator, "flag integral")
+        numerator = _dealt_count(n, b)
+    if not numerator:
+        return 0
+    for x in b:
+        numerator *= _FACTORIALS[x]
+    return exact_quotient(numerator, _FLAG_DENOMINATORS[n], "flag integral")
 
 
 def _dealt_count(n, b):

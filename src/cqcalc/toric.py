@@ -257,15 +257,18 @@ class Fan:
     def check_complete(self):
         """Desk-scale completeness: there must be a maximal cone, and every
         facet of a maximal cone must be shared by exactly two of them.  A
-        facet is a cone's ray mask with one ray's bit cleared."""
-        facets = []
-        for mask in self._cone_masks:
-            rest = mask
-            while rest:
-                top = 1 << rest.bit_length() - 1
-                facets.append(mask ^ top)
-                rest ^= top
-        if not self._cone_masks or set(Counter(facets).values()) - {2}:
+        facet is a cone's ray mask with one ray's bit cleared; the facets are
+        counted as they are made, never listed."""
+
+        def facets():
+            for mask in self._cone_masks:
+                rest = mask
+                while rest:
+                    top = 1 << rest.bit_length() - 1
+                    yield mask ^ top
+                    rest ^= top
+
+        if not self._cone_masks or set(Counter(facets()).values()) - {2}:
             raise DomainError("fan not complete")
         return True
 

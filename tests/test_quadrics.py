@@ -7,7 +7,7 @@ from itertools import combinations, product
 import pytest
 
 from cqcalc import quadrics, schubert
-from cqcalc.exactmath import DomainError, UnivariatePolynomial, binomial
+from cqcalc.exactmath import DomainError, UnivariatePolynomial, binomial, is_log_concave
 from cqcalc.schubert import flag_integral
 from cqcalc.quadrics import (
     _mixed_basis_expansion,
@@ -674,8 +674,25 @@ def test_hypersurface_characteristic_number():
         hypersurface_characteristic_number(4, 2, 0)
 
 
-def test_index_set_count_matches_enumeration():
+def _delta_work_refused(m, n, rs, limit, monkeypatch):
+    """Whether `_check_delta_work` refuses with `limit` index sets left."""
+    monkeypatch.setattr(quadrics, "_DELTA_WORK", limit * n**3)
+    try:
+        quadrics._check_delta_work(m, n, rs)
+    except DomainError as err:
+        assert str(err) == (
+            f"delta(m={m}, n={n}) needs over {limit} index sets at O(n^3) "
+            f"each, past its work budget"
+        )
+        return True
+    return False
+
+
+def test_index_set_count_matches_enumeration(monkeypatch):
+    # and `_check_delta_work` refuses exactly the sums over r whose
+    # enumerated index sets are over its budget
     for n in range(1, 10):
+        counts = {}
         for k in range(n + 1):
             for m in range(-1, binomial(n + 1, 2) + 2):
                 count = sum(1 for c in combinations(range(1, n + 1), k) if sum(c) == m)
@@ -683,6 +700,13 @@ def test_index_set_count_matches_enumeration():
                 assert quadrics._index_set_count(n, k, m, count) == count
                 if count:
                     assert quadrics._index_set_count(n, k, m, count - 1) is None
+                counts[n - k, m] = count
+        for m in range(-1, binomial(n + 1, 2) + 2):
+            for rs in [(r,) for r in range(n + 1)] + [tuple(range(1, n))]:
+                total = sum(counts[r, m] for r in rs)
+                for limit in {0, max(total - 1, 0), total, total + 1}:
+                    refused = _delta_work_refused(m, n, rs, limit, monkeypatch)
+                    assert refused == (total > limit), (m, n, rs, limit)
 
 
 def test_delta_over_budget_is_refused_at_once():
@@ -717,3 +741,94 @@ def test_delta_outside_pataki_window_is_zero_at_once():
     start = time.perf_counter()
     assert delta(700, 40, 20) == 0 and not pataki_nonzero(700, 40, 20)
     assert time.perf_counter() - start < 1
+
+
+# Khovanskii-Teissier (Teissier 1979; Lazarsfeld, Positivity I, 1.6): for nef
+# classes A and B on a D-dimensional variety the mixed degrees
+# A^k B^(D-k) form a log-concave sequence.  Each L_j is base-point-free,
+# hence nef; the S_i are only effective and are never used here.
+
+
+def _l_power(n, coeffs, k):
+    """(sum of coeffs[j-1] L_j)^k, expanded as {exponent vector: coefficient}."""
+    power = {(0,) * (n - 1): 1}
+    for _ in range(k):
+        out = {}
+        for e, c in power.items():
+            for j, x in enumerate(coeffs):
+                if x:
+                    f = e[:j] + (e[j] + 1,) + e[j + 1 :]
+                    out[f] = out.get(f, 0) + c * x
+        power = out
+    return power
+
+
+def _l_integral(n, *factors):
+    """Integral over CQ_n of the product of the expanded `factors`, which
+    together have degree dim CQ_n."""
+    total = {(0,) * (n - 1): 1}
+    for factor in factors:
+        out = {}
+        for e, c in total.items():
+            for f, d in factor.items():
+                g = tuple(x + y for x, y in zip(e, f))
+                out[g] = out.get(g, 0) + c * d
+        total = out
+    return sum(c * integrate_monomial(n, (0,) * (n - 1), e) for e, c in total.items())
+
+
+def _nef_combination(rng, n):
+    """Nonnegative integer coefficients of L_1..L_{n-1}, not all 0."""
+    coeffs = [rng.randint(0, 3) for _ in range(n - 1)]
+    coeffs[rng.randrange(n - 1)] += 1
+    return coeffs
+
+
+def test_phi_rows_are_log_concave():
+    # phi(n, d) is the integral of L_1^(C(n+1,2)-d) L_{n-1}^(d-1)
+    for n in range(3, 9):
+        assert is_log_concave([phi(n, d) for d in range(1, binomial(n + 1, 2) + 1)]), n
+
+
+def test_two_hyperplane_classes_are_log_concave():
+    sequences = 0
+    for n in range(3, 7):
+        top = cq_dimension(n)
+        for i, j in combinations(range(n - 1), 2):
+            row = []
+            for k in range(top + 1):
+                b = [0] * (n - 1)
+                b[i], b[j] = k, top - k
+                row.append(integrate_monomial(n, (0,) * (n - 1), b))
+            assert is_log_concave(row), (n, i + 1, j + 1)
+            sequences += 1
+    assert sequences == 20
+
+
+def test_nef_combinations_are_log_concave():
+    rng = random.Random(27)
+    for n in (3, 4, 5):
+        top = cq_dimension(n)
+        for _ in range(3):
+            a, b = _nef_combination(rng, n), _nef_combination(rng, n)
+            row = [
+                _l_integral(n, _l_power(n, a, k), _l_power(n, b, top - k))
+                for k in range(top + 1)
+            ]
+            assert is_log_concave(row), (n, a, b)
+            assert all(row), (n, a, b)
+
+
+def test_alexandrov_fenchel_on_nef_classes():
+    # (A.B.G)^2 >= (A.A.G)(B.B.G) for nef A, B and G a product of D - 2
+    # nef classes, here a monomial in the L_j
+    rng = random.Random(28)
+    for n in (3, 4):
+        top = cq_dimension(n)
+        for _ in range(6):
+            a, b = _nef_combination(rng, n), _nef_combination(rng, n)
+            gamma = {rng.choice(list(_compositions(top - 2, n - 1))): 1}
+            ab = _l_integral(n, _l_power(n, a, 1), _l_power(n, b, 1), gamma)
+            aa = _l_integral(n, _l_power(n, a, 2), gamma)
+            bb = _l_integral(n, _l_power(n, b, 2), gamma)
+            assert ab * ab >= aa * bb, (n, a, b, gamma)

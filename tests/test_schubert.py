@@ -183,6 +183,27 @@ def test_flag_integral_past_reach_refused(monkeypatch):
     assert flag_integral(12, (5, 5, 8, 1, 9, 2, 8, 5, 5, 10, 8)) == 276_500_115_137_510_400
 
 
+def test_zero_exponent_answers_before_any_table(monkeypatch):
+    # the single-variable factors leave b_s - 1 < 0 at a zero, so
+    # `_weyl_integral` answers 0 itself, for every caller, before a table is
+    # read or a row is dealt
+    def refuse(*args):
+        raise AssertionError("a zero exponent reached the volume table")
+
+    monkeypatch.setattr(schubert, "_volume_table", refuse)
+    monkeypatch.setattr(schubert, "_dealt_count", refuse)
+    for n in range(2, 13):
+        for slot in range(n - 1):
+            # the degree C(n,2) dealt round the other slots; Fl_2 has none
+            b = [0] * (n - 1)
+            others = [s for s in range(n - 1) if s != slot]
+            for t in range(binomial(n, 2) if others else 0):
+                b[others[t % len(others)]] += 1
+            assert schubert._weyl_integral(n, tuple(b)) == 0, (n, b)
+            if others:
+                assert flag_integral(n, b) == 0, (n, b)
+
+
 def test_flag_integral_rejects_bad_schedule():
     with pytest.raises(DomainError, match="order does not match"):
         flag_integral(3, (1, 2), order=(1, 1, 2))
