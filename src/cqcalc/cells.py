@@ -19,19 +19,23 @@ tests; the listing refuses n > 8.
 
 Points of CQ_3 are pairs (A, B) of symmetric matrices with A.B scalar;
 `verify_cell_point` reconstructs the pair from cell coordinates and
-checks that relation exactly.  The companion of Y is written down in
-closed form.  X, Y and the companion are evaluated, each entry the
-product of its variables' values, and each is scaled to an integer
-matrix by the lcm of its own denominators; adj(X)^t is the cofactor
-matrix of the scaled X, so both halves of the pair are built in `int`,
-and scaling A and B by positive constants keeps A.B = lambda I true
-or false.  `cell_matrices` divides once by the known denominators, and
-`verify_generic_point` takes its determinant from `exactmath.determinant`.
+checks that relation exactly, in `int` from end to end.  Each value is
+read once as a numerator and a positive denominator.  An entry of X, Y
+or the companion (which is written down in closed form) is then one
+product of numerators over one product of denominators, and each of the
+three matrices is scaled to int rows by the lcm of its own denominators.
+adj(X)^t is the cofactor matrix of the scaled X, so both halves of the
+pair are built in `int`, and scaling A and B by positive constants keeps
+A.B = lambda I true or false.  Y, the companion and B are symmetric, so
+every product is some M N^t, taken row by row.  No Fraction is
+multiplied or added: `cell_matrices` divides once by the known
+denominators, and `verify_generic_point` takes the determinant of the
+int rows from `exactmath.determinant`.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import factorial, lcm, prod
 from operator import mul
 
@@ -45,14 +49,14 @@ class TwoPermutation:
     __slots__ = ("n", "blocks")
 
     def __init__(self, blocks):
-        blocks = tuple(tuple(sorted(b)) for b in blocks)
-        seen = set()
+        blocks = tuple([tuple(sorted(b)) for b in blocks])
+        elements = []
         for b in blocks:
-            if len(b) not in (1, 2) or len(set(b)) != len(b):
+            if len(b) != 1 and (len(b) != 2 or b[0] == b[1]):
                 raise DomainError(f"block {b} must have one or two elements")
-            seen.update(b)
-        n = sum(len(b) for b in blocks)
-        if seen != set(range(1, n + 1)):
+            elements += b
+        n = len(elements)
+        if set(elements) != set(range(1, n + 1)):
             raise DomainError("blocks must partition 1..n")
         self.n = n
         self.blocks = blocks
@@ -98,6 +102,10 @@ class TwoPermutation:
                 return j
         raise DomainError(f"element {element} not covered")
 
+    def block_index(self):
+        """Map from each element to the 1-based index of its block."""
+        return {e: j for j, b in enumerate(self.blocks, start=1) for e in b}
+
 
 def enumerate_two_permutations(n):
     """All ordered partitions of {1..n} into blocks of size <= 2, in
@@ -130,7 +138,7 @@ def weight(sigma):
     """Dimension of the cell: the number of non-inversions of the block map
     plus the number of ascents of block maxima."""
     n = sigma.n
-    block_index = {e: sigma.block_of(e) for e in range(1, n + 1)}
+    block_index = sigma.block_index()
     part1 = sum(
         1
         for i in range(1, n + 1)
@@ -234,7 +242,7 @@ class CellParametrization:
         k = len(sigma.blocks)
 
         self.sigma = sigma
-        block_index = {e: sigma.block_of(e) for e in range(1, n + 1)}
+        block_index = sigma.block_index()
 
         self.forced_x = tuple(
             (i, j)
@@ -303,19 +311,17 @@ def cell_parametrization(sigma):
     return CellParametrization(sigma)
 
 
-def _transpose(a):
-    return tuple(tuple(row[c] for row in a) for c in range(len(a)))
-
-
-def _integer_matrix(matrix, values):
-    """A symbolic matrix at the values, scaled to integers by the lcm of
-    its entries' denominators, and that lcm."""
-    entries = [[0 if e is None else prod(values[v] for v in e) for e in row]
-               for row in matrix]
-    scale = lcm(*(x.denominator for row in entries for x in row))
-    return tuple(
-        tuple(x.numerator * (scale // x.denominator) for x in row) for row in entries
-    ), scale
+def _integer_matrix(matrix, nums, dens):
+    """A symbolic matrix at the values, given as numerator and denominator
+    maps, as int rows scaled by the lcm of its entries' denominators, and
+    that lcm.  Entries are monomials, so each is one product of numerators
+    over one product of denominators."""
+    num, den = nums.__getitem__, dens.__getitem__
+    num_rows = [[0 if e is None else prod(map(num, e)) for e in row] for row in matrix]
+    den_rows = [[1 if e is None else prod(map(den, e)) for e in row] for row in matrix]
+    scale = lcm(*chain.from_iterable(den_rows))
+    return [[v * (scale // d) for v, d in zip(num_row, den_row)]
+            for num_row, den_row in zip(num_rows, den_rows)], scale
 
 
 def _cofactors(m):
@@ -329,37 +335,44 @@ def _cofactors(m):
 
 
 def _checked_values(sigma, values):
-    """The cell's parametrization and the assignment as Fractions, after
-    checking that it gives every free variable a nonzero value."""
+    """The cell's parametrization and the assignment as two maps, from each
+    variable to the numerator and to the (positive) denominator of its
+    value, after checking that it gives every free variable a nonzero
+    value.  A value that is not an int or a Fraction is read by Fraction."""
     param = cell_parametrization(sigma)
     expected = set(param.free_variables())
     if expected != set(values):
         raise DomainError(
             f"free variables are {sorted(expected)}, got {sorted(values)}"
         )
-    vals = {name: Fraction(v) for name, v in values.items()}
-    if any(v == 0 for v in vals.values()):
+    nums, dens = {}, {}
+    for name, v in values.items():
+        if not isinstance(v, (int, Fraction)):
+            v = Fraction(v)
+        nums[name], dens[name] = v.numerator, v.denominator
+    if 0 in nums.values():
         raise DomainError("assignments must be nonzero")
-    return param, vals
+    return param, nums, dens
 
 
 def _integer_pair(sigma, values):
-    """The pair (A, B) of `cell_matrices` as integer matrices and their
-    positive denominators: A = a / a_den and B = b / b_den.
+    """The pair (A, B) of `cell_matrices` as int rows and their positive
+    denominators: A = a / a_den and B = b / b_den.
 
     X, Y and the companion are each scaled by the lcm of their own
     denominators (sx, sy and sc), and adj(X)^t is taken as the cofactors
     of sx X, which are sx^2 adj(X)^t; every product after that is in
-    `int`."""
+    `int`.  Y and the companion are symmetric, so X Y = X Y^t and every
+    product here is some M N^t."""
     if sigma.n != 3:
         raise DomainError("companion matrix construction only specified for n=3")
-    param, vals = _checked_values(sigma, values)
-    x, sx = _integer_matrix(param.X, vals)
-    y, sy = _integer_matrix(param.Y, vals)
-    companion, sc = _integer_matrix(param.companion, vals)
+    param, nums, dens = _checked_values(sigma, values)
+    x, sx = _integer_matrix(param.X, nums, dens)
+    y, sy = _integer_matrix(param.Y, nums, dens)
+    companion, sc = _integer_matrix(param.companion, nums, dens)
     r = _cofactors(x)
-    a = _mat_mul_numeric(_mat_mul_numeric(x, y), _transpose(x))
-    b = _mat_mul_numeric(_mat_mul_numeric(r, companion), _transpose(r))
+    a = _mul_transpose(_mul_transpose(x, y), x)
+    b = _mul_transpose(_mul_transpose(r, companion), r)
     return a, sx * sx * sy, b, sx**4 * sc
 
 
@@ -377,25 +390,21 @@ def cell_matrices(sigma, values):
     )
 
 
-def _mat_mul_numeric(a, b):
-    columns = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, column)) for column in columns) for row in a)
+def _mul_transpose(a, b):
+    """a b^t for square matrices given as rows: entry (r, c) is row r of a
+    times row c of b."""
+    return [[sum(map(mul, row, other)) for other in b] for row in a]
 
 
 def verify_cell_point(sigma, values):
     """Check that the reconstructed pair (A, B) satisfies A.B = lambda I
     for some scalar lambda (possibly zero).  The check runs on the integer
-    matrices a and b, positive integer multiples of A and B."""
+    matrices a and b, positive integer multiples of A and B; b is
+    symmetric, so a.b = a b^t."""
     a, _, b, _ = _integer_pair(sigma, values)
-    product = _mat_mul_numeric(a, b)
+    product = _mul_transpose(a, b)
     lam = product[0][0]
-    size = len(product)
-    for r in range(size):
-        for c in range(size):
-            expected = lam if r == c else 0
-            if product[r][c] != expected:
-                return False
-    return True
+    return product == [[lam, 0, 0], [0, lam, 0], [0, 0, lam]]
 
 
 def verify_generic_point(sigma, values):
@@ -403,8 +412,7 @@ def verify_generic_point(sigma, values):
     primary matrix A is invertible, the full tuple of its compounds lies on
     the inversion graph by construction.  Returns True exactly in that case;
     False is inconclusive (the point may sit in the boundary)."""
-    param, vals = _checked_values(sigma, values)
-    x, _ = _integer_matrix(param.X, vals)
-    y, _ = _integer_matrix(param.Y, vals)
-    a = _mat_mul_numeric(_mat_mul_numeric(x, y), _transpose(x))
-    return determinant(a) != 0
+    param, nums, dens = _checked_values(sigma, values)
+    x, _ = _integer_matrix(param.X, nums, dens)
+    y, _ = _integer_matrix(param.Y, nums, dens)
+    return determinant(_mul_transpose(_mul_transpose(x, y), x)) != 0

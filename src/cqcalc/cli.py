@@ -11,6 +11,7 @@ Output is plain text by default or a single JSON object with --format
 json; the object carries a schema tag, the result, and a meta block
 echoing the parameters.  Exit codes: 0 success, 2 usage error, 3 domain
 error (degree mismatches, out-of-range parameters, hypothesis violations).
+An output pipe closed early by its reader ends the write quietly, exit 0.
 
 Identical argv produces byte-identical stdout; wall-clock timing is only
 added to the meta block under --timings, since it is inherently
@@ -19,6 +20,7 @@ nondeterministic.
 
 import argparse
 import importlib
+import os
 import sys
 import time
 from fractions import Fraction
@@ -590,6 +592,14 @@ def main(argv=None):
         sys.set_int_max_str_digits(0)
     try:
         _emit(args, args.command_name, result, params, elapsed)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (`cq cells enumerate --n 7 | head -1`)
+        # and took what it wanted.  Send the rest of the buffer to devnull,
+        # so that the flush at exit raises nothing either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

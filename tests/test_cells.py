@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -42,6 +43,8 @@ def test_parse_and_format():
     assert sigma.blocks == ((2,), (1, 3))
     assert str(sigma) == "2|13"
     assert sigma.block_of(1) == 2 and sigma.block_of(2) == 1
+    assert sigma.block_index() == {2: 1, 1: 2, 3: 2}
+    assert TwoPermutation([[3, 1], {2}]).blocks == ((1, 3), (2,))
     with pytest.raises(DomainError):
         TwoPermutation.parse("123")
     with pytest.raises(DomainError):
@@ -103,6 +106,38 @@ def test_enumeration_is_sorted_and_valid():
     for n in range(1, 7):
         blocks = [s.blocks for s in enumerate_two_permutations(n)]
         assert blocks == sorted(blocks)
+
+
+# First 16 hex digits of the sha256 of each listing, one str(sigma) a line.
+ENUMERATION_DIGESTS = {
+    1: "6b86b273ff34fce1",
+    2: "f14e866c0fde0c27",
+    3: "1b91cff2d10e6e8c",
+    4: "e2768f36e8130350",
+    5: "6af58875af6b00f2",
+    6: "adf086e90e018722",
+    7: "b2635858d86859e8",
+}
+
+
+def test_enumerated_cells_pass_the_constructor():
+    for n, expected in ENUMERATION_DIGESTS.items():
+        sigmas = enumerate_two_permutations(n)
+        assert all(TwoPermutation(s.blocks) == s for s in sigmas), n
+        listing = "\n".join(map(str, sigmas)).encode()
+        assert hashlib.sha256(listing).hexdigest()[:16] == expected, n
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ([(1, 1)], r"block \(1, 1\) must have one or two elements"),
+    ([(1, 2, 3)], r"block \(1, 2, 3\) must have one or two elements"),
+    ([(2,), ()], r"block \(\) must have one or two elements"),
+    ([(1,), (3,)], "blocks must partition 1..n"),
+    ([(1, 2), (2,)], "blocks must partition 1..n"),
+])
+def test_two_permutation_checks(blocks, message):
+    with pytest.raises(DomainError, match=message):
+        TwoPermutation(blocks)
 
 
 def test_weights_match_table():
@@ -253,19 +288,20 @@ def test_verify_cell_point_examples():
 
 
 def test_verify_cell_point_lambda_values():
-    # for 2|13 the scalar is y1 itself; for the identity cell it is y1*y2
-    from cqcalc.cells import _mat_mul_numeric
+    # for 2|13 the scalar is y1 itself; for the identity cell it is y1*y2;
+    # B is symmetric, so A.B = A B^t
+    from cqcalc.cells import _mul_transpose
 
     sigma = TwoPermutation.parse("2|13")
     values = {"x13": Fraction(3, 2), "x23": -2, "y1": Fraction(5, 3)}
     a, b = cell_matrices(sigma, values)
-    product = _mat_mul_numeric(a, b)
+    product = _mul_transpose(a, b)
     assert product[0][0] == values["y1"]
 
     sigma = TwoPermutation.parse("1|2|3")
     values = {"x12": 1, "x13": 2, "x23": 3, "y1": 4, "y2": 5}
     a, b = cell_matrices(sigma, values)
-    product = _mat_mul_numeric(a, b)
+    product = _mul_transpose(a, b)
     assert product[0][0] == 20
 
 
@@ -353,13 +389,12 @@ def _fraction_pair(sigma, values):
 def test_integer_pair_matches_fraction_reference():
     rng = random.Random(20261019)
     for sigma in enumerate_two_permutations(3):
-        param = cell_parametrization(sigma)
-        for _ in range(8):
-            values = {
-                name: Fraction(rng.randint(1, 40), rng.randint(1, 12))
-                * rng.choice([1, -1])
-                for name in param.free_variables()
-            }
+        names = cell_parametrization(sigma).free_variables()
+        points = [{name: Fraction(rng.randint(1, 40), rng.randint(1, 12)) * rng.choice([1, -1])
+                   for name in names} for _ in range(8)]
+        points += [{name: rng.randint(1, 40) * rng.choice([1, -1]) for name in names}
+                   for _ in range(4)]
+        for values in points:
             a, b, product = _fraction_pair(sigma, values)
             got = cell_matrices(sigma, values)
             assert got == (tuple(map(tuple, a)), tuple(map(tuple, b))), (str(sigma), values)
@@ -370,6 +405,26 @@ def test_integer_pair_matches_fraction_reference():
             assert verify_cell_point(sigma, values) is scalar is True
             if str(sigma) == "3|2|1":
                 assert lam == 0
+
+
+def test_cell_checks_make_no_fraction_products(monkeypatch):
+    rng = random.Random(20261021)
+    points = []
+    for sigma in enumerate_two_permutations(3):
+        names = cell_parametrization(sigma).free_variables()
+        points.append((sigma, {name: Fraction(rng.randint(1, 40), rng.randint(1, 12))
+                               for name in names}))
+        points.append((sigma, {name: -rng.randint(1, 40) for name in names}))
+    expected = [(verify_cell_point(*p), verify_generic_point(*p)) for p in points]
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in a cell check")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    got = [(verify_cell_point(*p), verify_generic_point(*p)) for p in points]
+    assert got == expected
+    assert all(cell for cell, _ in got)
 
 
 def test_verify_cell_point_input_validation():

@@ -463,6 +463,27 @@ def test_console_script_entry_point():
     assert proc.stdout.strip() == "2"
 
 
+def test_closed_output_pipe_exits_0():
+    # `cq cells enumerate --n 7 | head -1`: the 35,280 lines overrun the pipe
+    # buffer, so the writer is still writing when the reader closes its end.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cqcalc.cli", "cells", "enumerate", "--n", "7"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+    )
+    try:
+        assert proc.stdout.readline() == "1|2|3|4|5|6|7\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == ""
+
+
 @pytest.mark.parametrize("argv, needle", [
     (("matroid", "reduced", "--uniform", "3"), "--uniform takes rank,size"),
     (("cells", "weight", "--sigma", "a|b"), "--sigma takes digit blocks"),
