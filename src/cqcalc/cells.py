@@ -12,7 +12,8 @@ variable names, () for 1.  `format_entry` writes an entry as `0`, `1`,
 `x12` or `y1*y2`.
 
 Which route answers: `chow_group_dimensions` runs a subset DP over the
-blocks and builds no 2-permutation, so n = 10 takes well under a second;
+blocks and builds no 2-permutation, so n = 10 takes well under a second,
+and it refuses n > 16, where it would run for half a minute or more;
 `enumerate_two_permutations` and `weight` list the cells one by one (for
 `cq cells enumerate` and `cq cells weight`) and are its oracle in the
 tests; the listing refuses n > 8.
@@ -161,6 +162,10 @@ def chow_group_dimensions(n):
     each state carries its weight histogram as one integer, the generating
     polynomial evaluated at t = 2^bits (no count reaches 2^bits, so the
     coefficients never overlap)."""
+    # n = 15 takes about 4 s and n = 16 about 10 s, and each further n costs
+    # about 2.5 times more time and memory.
+    if n > 16:
+        raise DomainError(f"Chow-group histogram needs n <= 16, got n = {n}")
     if n < 2:
         raise DomainError("need n >= 2")
     # n! orders times 2^n ways to pair neighbours bound every count.
@@ -187,12 +192,17 @@ def chow_group_dimensions(n):
     return [total >> (m * bits) & low for m in range(binomial(n + 1, 2))]
 
 
+# `one_parameter_exponents` checks its exponent chain, which pins the cell
+# decomposition, for n up to this.
+EXPONENT_CHAIN_N = 16
+
+
 def one_parameter_exponents(n):
     """A concrete choice of torus exponents d_i = 4^i; the pairwise sums
     d_i + d_j (i <= j) must be strictly increasing in the block order
     (1,1) < (1,2) < (2,2) < (1,3) < ..., which pins the cell decomposition."""
-    if not 1 <= n <= 16:
-        raise DomainError("exponent chain checked only for n <= 16")
+    if not 1 <= n <= EXPONENT_CHAIN_N:
+        raise DomainError(f"exponent chain checked only for n <= {EXPONENT_CHAIN_N}")
     d = [4**i for i in range(1, n + 1)]
     chain = [d[i - 1] + d[j - 1] for j in range(1, n + 1) for i in range(1, j + 1)]
     if any(x >= y for x, y in zip(chain, chain[1:])):

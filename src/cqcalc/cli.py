@@ -144,9 +144,8 @@ def _parse_sigma(text):
     except ValueError:
         raise UsageError(f"--sigma takes digit blocks like '2|13' (elements "
                          f"separated by commas when n >= 10), got {text!r}")
-    # the range in which one_parameter_exponents is checked
-    if sigma.n > 16:
-        raise DomainError(f"--sigma needs n <= 16, got n = {sigma.n}")
+    if sigma.n > cells.EXPONENT_CHAIN_N:
+        raise DomainError(f"--sigma needs n <= {cells.EXPONENT_CHAIN_N}, got n = {sigma.n}")
     return sigma
 
 

@@ -65,10 +65,13 @@ over the I in [n] with |I| = n - r and sum(I) = m, where psi_I are
 Lascoux coefficients (Pfaffians of the pair values, found by elimination
 and not memoized); `phi_c` expands its one L_c factor in S_1..S_{n-1}
 through the Cartan inverse, which turns it into a sum of deltas; and `phi`
-is phi_c(n, 1, d).  Only `intersection_product` and `integrate_monomial`
-reduce, and they refuse n > 8, where the reduction has no bound on its
-work; on the monomials that the closed forms name, `_reduce` is their
-independent test oracle.
+is phi_c(n, 1, d).  Each call, and each interpolated polynomial with all
+its samples, hands its delta terms to one `_delta_sums` stage, which walks
+their index sets against a work budget before the first Pfaffian and
+refuses the call when they are over it.  Only `intersection_product` and
+`integrate_monomial` reduce, and they refuse n > 8, where the reduction
+has no bound on its work; on the monomials that the closed forms name,
+`_reduce` is their independent test oracle.
 
 Everything here is pure and deterministic; the memo tables are the only
 shared state and individual dict operations are atomic, so concurrent
@@ -77,6 +80,7 @@ callers always read complete entries.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import comb
 
 from .exactmath import (
@@ -506,61 +510,41 @@ def _subsets(low, high, size, total):
             yield (i,) + rest
 
 
-# `delta` runs `_psi` twice on each index set, O(n^3) each, so its work is
-# (index sets) * n^3.  A call over this budget is refused before its first
-# index set: one unit takes about 24 ns at n = 20..40 and more elsewhere
-# (Python 3.11, shared 2-CPU host), so a refused call would have taken 20 s
-# or more.
+# Each index set of a delta term costs two `_psi` calls, O(n^3) each, so a
+# call's work is the sum of (index sets) * n^3 over its terms.  A call over
+# this budget is refused before its first Pfaffian: one unit takes 52-64 ns
+# at n = 40 (Python 3.11, shared 2-CPU host), so a call inside it can still
+# run for about a minute.
 _DELTA_WORK = 10**9
 
 
-def _index_set_count(n, k, m, limit):
-    """The number of k-subsets of 1..n that sum to m, or None when that
-    number is over `limit`.
+def _delta_sums(groups):
+    """For each group of terms (coeff, m, n, r), the sum of
+    coeff * psi_I psi_{[n]-I} over the I in [n] with |I| = n - r and
+    sum(I) = m, that is of coeff * delta(m, n, r).
 
-    Taking 1..k away from such a subset, sorted, leaves a partition of
-    j = m - C(k+1, 2) into at most k parts of at most n - k; their number is
-    the coefficient of q^j in the Gaussian binomial [n, k]_q, whose
-    coefficients are symmetric about k (n - k) / 2 and unimodal (Sylvester),
-    so j is first folded into the lower half and k below n - k.  The DP
-    over (parts, sum) multiplies in (1 - q^(n-k+t)) / (1 - q^t) for
-    t = 1..k; after step t, c[d] counts the partitions of d into at most t
-    parts, which only grows with t, and c at min(j, t (n - k) / 2) is the
-    largest c[d] with d <= j, a lower bound on the answer, so the DP stops
-    as soon as it is over `limit`.
+    All the groups share one budget of `_DELTA_WORK`.  Every term's index
+    sets are walked first, each walk stopping one set past what is left of
+    the budget, and a call over it is refused before the first Pfaffian.
     """
-    j = m - k * (k + 1) // 2
-    if not 0 <= j <= k * (n - k):
-        return 0
-    if limit < 1:
-        return None
-    j = min(j, k * (n - k) - j)
-    k, width = min(k, n - k), max(k, n - k)
-    counts = [1] + [0] * j
-    for t in range(1, k + 1):
-        for d in range(j, width + t - 1, -1):
-            counts[d] -= counts[d - width - t]
-        for d in range(t, j + 1):
-            counts[d] += counts[d - t]
-        if counts[min(j, t * width // 2)] > limit:
-            return None
-    return counts[j]
-
-
-def _check_delta_work(m, n, rs):
-    """Refuse a sum of delta(m, n, r) over r in `rs` whose index sets, times
-    n^3, are over the budget, before any term runs.  Each term's index sets
-    are counted by `_index_set_count` against what is left of the budget,
-    which stops as soon as the count is past it."""
-    limit = _DELTA_WORK // n**3
-    for r in rs:
-        count = _index_set_count(n, n - r, m, limit)
-        if count is None:
-            raise DomainError(
-                f"delta(m={m}, n={n}) needs over {_DELTA_WORK // n**3} index "
-                f"sets at O(n^3) each, past its work budget"
-            )
-        limit -= count
+    left = _DELTA_WORK
+    for group in groups:
+        for _, m, n, r in group:
+            walk = islice(_subsets(1, n, n - r, m), left // n**3 + 1)
+            left -= sum(1 for _ in walk) * n**3
+            if left < 0:
+                raise DomainError(
+                    f"delta(m={m}, n={n}) needs over {_DELTA_WORK // n**3} index "
+                    f"sets at O(n^3) each, past its work budget"
+                )
+    return [
+        sum(
+            coeff * _psi(index) * _psi(tuple(j for j in range(1, n + 1) if j not in index))
+            for coeff, m, n, r in group
+            for index in _subsets(1, n, n - r, m)
+        )
+        for group in groups
+    ]
 
 
 def phi(n, d):
@@ -598,12 +582,7 @@ def delta(m, n, r):
         raise DomainError(f"m={m} out of range 1..{top - 1}")
     if not 0 < r < n:
         raise DomainError(f"r={r} out of range 1..{n - 1}")
-    _check_delta_work(m, n, (r,))
-    total = 0
-    for index in _subsets(1, n, n - r, m):
-        rest = tuple(j for j in range(1, n + 1) if j not in index)
-        total += _psi(index) * _psi(rest)
-    return total
+    return _delta_sums([[(1, m, n, r)]])[0]
 
 
 def pataki_nonzero(m, n, r):
@@ -629,10 +608,14 @@ def phi_c(n, c, d):
         raise DomainError("c out of range")
     if not 1 <= d < top:
         raise DomainError(f"d={d} out of range 1..{top - 1}")
-    denominator, expansion = _mixed_basis_expansion(n, c, frozenset(range(1, n)))
-    _check_delta_work(d, n, [r for _, r in expansion])
-    total = sum(coeff * delta(d, n, r) for (_, r), coeff in expansion.items())
-    return exact_quotient(total, denominator, "phi_c")
+    return exact_quotient(_delta_sums([_phi_c_terms(n, c, d)])[0], n, "phi_c")
+
+
+def _phi_c_terms(n, c, d):
+    """The terms (coeff, d, n, r) of `_delta_sums` whose sum is
+    n * phi_c(n, c, d): coeff is n times the coordinate of L_c on S_r."""
+    _, expansion = _mixed_basis_expansion(n, c, frozenset(range(1, n)))
+    return [(coeff, d, n, r) for (_, r), coeff in expansion.items()]
 
 
 def phi_polynomial(d):
@@ -640,35 +623,38 @@ def phi_polynomial(d):
 
     Samples d consecutive admissible n starting from the smallest one,
     interpolates, and double-checks the result against one further
-    evaluation before returning it.
+    evaluation before returning it.  The samples share one work budget.
     """
     if d < 1:
         raise DomainError("d must be positive")
     n0 = 2
     while binomial(n0 + 1, 2) < d:
         n0 += 1
-    return _sampled_polynomial(lambda n: phi(n, d), n0, d)
+    ns = range(n0, n0 + d + 1)
+    # phi(n, C(n+1,2)) = phi(n, 1), as in `phi`
+    sums = _delta_sums([_phi_c_terms(n, 1, 1 if d == binomial(n + 1, 2) else d) for n in ns])
+    return _sampled_polynomial(ns, [exact_quotient(t, n, "phi_c") for n, t in zip(ns, sums)])
 
 
 def delta_polynomial(m, s):
     """The function n -> delta(m, n, n-s) as an exact polynomial of degree
-    at most m, checked to vanish at n = 0 and at one extra sample point."""
+    at most m, checked to vanish at n = 0 and at one extra sample point.
+    The samples share one work budget."""
     if m < 1 or s < 1:
         raise DomainError("m and s must be positive")
     n0 = max(2, s + 1)
     while binomial(n0 + 1, 2) <= m:
         n0 += 1
-    poly = _sampled_polynomial(lambda n: delta(m, n, n - s), n0, m + 1)
+    ns = range(n0, n0 + m + 2)
+    poly = _sampled_polynomial(ns, _delta_sums([[(1, m, n, n - s)] for n in ns]))
     if poly(0) != 0:
         raise DomainError("polynomiality check failed")
     return poly
 
 
-def _sampled_polynomial(value, n0, count):
-    """The polynomial through `value` at the `count` consecutive n from n0,
-    checked against `value` at the next n; every value is taken first."""
-    ns = range(n0, n0 + count + 1)
-    values = [value(n) for n in ns]
+def _sampled_polynomial(ns, values):
+    """The polynomial through the values at every n of `ns` but the last,
+    checked against the value at the last."""
     poly = interpolate(list(zip(ns, values[:-1])))
     if poly(ns[-1]) != values[-1]:
         raise DomainError("polynomiality check failed")

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -175,6 +176,15 @@ def test_chow_dp_past_enumeration(n, count):
     assert len(hist) == cq_dimension(n) + 1
     assert sum(hist) == count
     assert hist == hist[::-1]
+
+
+def test_chow_histogram_past_reach_is_refused_at_once():
+    # n = 16 takes about 10 s, and each further n about 2.5 times more
+    for n in (17, 30, 10**6):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=f"^Chow-group histogram needs n <= 16, got n = {n}$"):
+            chow_group_dimensions(n)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_weight_equals_free_variable_count():
@@ -451,5 +461,5 @@ def test_one_parameter_exponents():
     assert one_parameter_exponents(3) == (4, 16, 64)
     for n in range(1, 17):
         one_parameter_exponents(n)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^exponent chain checked only for n <= 16$"):
         one_parameter_exponents(17)

@@ -768,3 +768,17 @@ def test_domain_error_past_delta_work_budget(capsys):
     code, out, err = run_cli(capsys, "delta", "--m", "400", "--n", "40", "--r", "20")
     assert code == 3 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and "work budget" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("phi-poly", "--d", "40"),
+    ("delta-poly", "--m", "100", "--s", "5"),
+])
+def test_domain_error_past_shared_delta_work_budget(capsys, argv):
+    # each sample is within the budget, but not all of them together
+    _assert_domain_error(capsys, argv, "past its work budget")
+
+
+def test_histogram_past_reach_refused(capsys):
+    _assert_domain_error(capsys, ("cells", "--n", "30", "--histogram"),
+                         "Chow-group histogram needs n <= 16, got n = 30")

@@ -674,39 +674,44 @@ def test_hypersurface_characteristic_number():
         hypersurface_characteristic_number(4, 2, 0)
 
 
-def _delta_work_refused(m, n, rs, limit, monkeypatch):
-    """Whether `_check_delta_work` refuses with `limit` index sets left."""
+def _delta_sums_verdict(groups, n, limit, monkeypatch):
+    """`_delta_sums` on groups of terms on one n, with `limit` index sets of
+    budget and every psi stubbed to 1: the sums, or None when it refuses
+    (then before any psi ran)."""
+    psi_calls = []
     monkeypatch.setattr(quadrics, "_DELTA_WORK", limit * n**3)
+    monkeypatch.setattr(quadrics, "_psi", lambda index: psi_calls.append(index) or 1)
     try:
-        quadrics._check_delta_work(m, n, rs)
+        return quadrics._delta_sums(groups)
     except DomainError as err:
+        m = groups[0][0][1]
         assert str(err) == (
             f"delta(m={m}, n={n}) needs over {limit} index sets at O(n^3) "
             f"each, past its work budget"
         )
-        return True
-    return False
+        assert not psi_calls
+        return None
 
 
 def test_index_set_count_matches_enumeration(monkeypatch):
-    # and `_check_delta_work` refuses exactly the sums over r whose
-    # enumerated index sets are over its budget
+    # `_delta_sums` refuses exactly the sums over r whose enumerated index
+    # sets are over its budget, and otherwise sums psi over those same sets
     for n in range(1, 10):
         counts = {}
         for k in range(n + 1):
             for m in range(-1, binomial(n + 1, 2) + 2):
                 count = sum(1 for c in combinations(range(1, n + 1), k) if sum(c) == m)
                 assert sum(1 for _ in quadrics._subsets(1, n, k, m)) == count
-                assert quadrics._index_set_count(n, k, m, count) == count
-                if count:
-                    assert quadrics._index_set_count(n, k, m, count - 1) is None
                 counts[n - k, m] = count
         for m in range(-1, binomial(n + 1, 2) + 2):
             for rs in [(r,) for r in range(n + 1)] + [tuple(range(1, n))]:
                 total = sum(counts[r, m] for r in rs)
-                for limit in {0, max(total - 1, 0), total, total + 1}:
-                    refused = _delta_work_refused(m, n, rs, limit, monkeypatch)
-                    assert refused == (total > limit), (m, n, rs, limit)
+                # as one group, and as one group per r
+                for groups in ([[(r + 1, m, n, r) for r in rs]], [[(r + 1, m, n, r)] for r in rs]):
+                    sums = [sum((r + 1) * counts[r, m] for _, _, _, r in g) for g in groups]
+                    for limit in {0, max(total - 1, 0), total, total + 1}:
+                        got = _delta_sums_verdict(groups, n, limit, monkeypatch)
+                        assert got == (None if total > limit else sums), (m, n, rs, limit)
 
 
 def test_delta_over_budget_is_refused_at_once():
@@ -728,6 +733,24 @@ def test_phi_over_budget_is_refused_before_any_term(monkeypatch):
         with pytest.raises(DomainError, match="work budget"):
             call()
         assert time.perf_counter() - start < 1
+
+
+def test_polynomials_over_budget_are_refused_before_any_term(monkeypatch):
+    # every sample of these is within the budget on its own, but not all
+    # of a polynomial's samples together
+    def no_pfaffian(index):
+        raise AssertionError("a delta term ran")
+
+    monkeypatch.setattr(quadrics, "_psi", no_pfaffian)
+    for call in (lambda: phi_polynomial(40), lambda: delta_polynomial(60, 3),
+                 lambda: delta_polynomial(100, 5)):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="work budget"):
+            call()
+        assert time.perf_counter() - start < 1
+    for n in range(9, 50):
+        with pytest.raises(AssertionError, match="a delta term ran"):
+            quadrics._delta_sums([quadrics._phi_c_terms(n, 1, 40)])
 
 
 def test_phi_within_budget_still_answers():
