@@ -6,6 +6,9 @@ single `_call` entry; the others have a handler that reads files, parses
 richer input or shapes the result.  Each handler imports the library
 modules it uses when it runs, and `json` is imported only for JSON input
 or output, so a cold `cq` process loads only what its subcommand needs.
+Which options go together is the parser's rule alone: each choice of
+input source is one required, mutually exclusive group, so no handler
+re-checks argv.
 
 Output is plain text by default or a single JSON object with --format
 json; the object carries a schema tag, the result, and a meta block
@@ -101,23 +104,14 @@ def _read_data_argument(text):
 def _load_fan(args):
     from . import toric
 
-    if getattr(args, "permutohedral", None) is not None:
+    if args.permutohedral is not None:
         return toric.permutohedral_fan(args.permutohedral)
-    if getattr(args, "fan", None):
-        return toric.parse_fan(_read_text_file(args.fan))
-    raise DomainError("need --fan FILE or --permutohedral N")
+    return toric.parse_fan(_read_text_file(args.fan))
 
 
 def _load_matroid(args):
     from . import matroid
 
-    sources = [
-        args.graph is not None,
-        args.uniform is not None,
-        args.matrix is not None,
-    ]
-    if sum(sources) != 1:
-        raise DomainError("need exactly one of --graph, --uniform, --matrix")
     if args.graph is not None:
         g = matroid.parse_graph(_read_text_file(args.graph))
         return matroid.matroid_from_graph(g), {"graph": args.graph}
@@ -183,8 +177,6 @@ def _cmd_matroid_reduced(args):
 def _cmd_matroid_chromatic(args):
     from . import matroid
 
-    if args.graph is None:
-        raise DomainError("chromatic polynomial needs --graph FILE")
     g = matroid.parse_graph(_read_text_file(args.graph))
     return matroid.chromatic_polynomial(g), {"graph": args.graph}
 
@@ -283,7 +275,7 @@ def _cmd_cells_verify(args):
     sigma = _parse_sigma(args.sigma)
     if args.values is not None:
         values = _parse_assignments(args.values)
-    elif args.random:
+    else:
         import random
 
         rng = random.Random(args.seed)
@@ -293,8 +285,6 @@ def _cmd_cells_verify(args):
             * rng.choice([1, -1])
             for name in param.free_variables()
         }
-    else:
-        raise DomainError("need --values or --random")
     ok = cells.verify_cell_point(sigma, values)
     return ok, {
         "sigma": str(sigma),
@@ -437,26 +427,36 @@ def _group(actions):
     return add
 
 
-def _add_cells(subparsers, name):
-    cells = subparsers.add_parser(name)
-    cells.add_argument("--n", type=int)
-    cells.add_argument("--histogram", action="store_true")
-    _add_common(cells)
-    cells.set_defaults(handler=_cmd_cells, command_name=name)
-    actions = cells.add_subparsers(dest="action")
-    for action, add_action in _CELLS_ACTIONS.items():
-        add_action(actions, action, prefix=f"{name} ")
+_GRAPH_HELP = "graph file: 'v e' header then edge lines"
 
 
 def _matroid_source(s):
-    s.add_argument("--graph", help="graph file: 'v e' header then edge lines")
-    s.add_argument("--uniform", help="rank,size")
-    s.add_argument("--matrix", help="JSON rows spanning the subspace (or @file)")
+    source = s.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph", help=_GRAPH_HELP)
+    source.add_argument("--uniform", help="rank,size")
+    source.add_argument("--matrix", help="JSON rows spanning the subspace (or @file)")
 
 
 def _fan_source(s):
-    s.add_argument("--fan", help="fan file: 'rank #rays #cones' header")
-    s.add_argument("--permutohedral", type=int, help="use the built-in fan")
+    source = s.add_mutually_exclusive_group(required=True)
+    source.add_argument("--fan", help="fan file: 'rank #rays #cones' header")
+    source.add_argument("--permutohedral", type=int, help="use the built-in fan")
+
+
+def _verify_options(s):
+    s.add_argument("--sigma", required=True)
+    point = s.add_mutually_exclusive_group(required=True)
+    point.add_argument("--values", help='assignments like "x13=1,x23=-2/3,y1=5"')
+    point.add_argument("--random", action="store_true")
+    s.add_argument("--seed", type=int, default=0)
+
+
+def _cells_options(s):
+    s.add_argument("--n", type=int)
+    s.add_argument("--histogram", action="store_true")
+    actions = s.add_subparsers(dest="action")
+    for action, add_action in _CELLS_ACTIONS.items():
+        add_action(actions, action, prefix="cells ")
 
 
 _CELLS_ACTIONS = {
@@ -467,12 +467,7 @@ _CELLS_ACTIONS = {
     "param": _leaf(_cmd_cells_param, lambda s: (
         s.add_argument("--sigma", required=True),
     )),
-    "verify": _leaf(_cmd_cells_verify, lambda s: (
-        s.add_argument("--sigma", required=True),
-        s.add_argument("--values", help='assignments like "x13=1,x23=-2/3,y1=5"'),
-        s.add_argument("--random", action="store_true"),
-        s.add_argument("--seed", type=int, default=0),
-    )),
+    "verify": _leaf(_cmd_cells_verify, _verify_options),
 }
 
 # nu_from_segre is mu_from_segre, so `segre mu` and `segre nu` are one leaf.
@@ -506,7 +501,9 @@ _COMMANDS = {
     "matroid": _group({
         "charpoly": _leaf(_cmd_matroid_charpoly, _matroid_source),
         "reduced": _leaf(_cmd_matroid_reduced, _matroid_source),
-        "chromatic": _leaf(_cmd_matroid_chromatic, _matroid_source),
+        "chromatic": _leaf(_cmd_matroid_chromatic, lambda s: (
+            s.add_argument("--graph", required=True, help=_GRAPH_HELP),
+        )),
         "euler": _call(
             "matroid.euler_characteristic_complement",
             ("nu", "comma-separated integers"),
@@ -523,7 +520,7 @@ _COMMANDS = {
             ),
         )),
     }),
-    "cells": _add_cells,
+    "cells": _leaf(_cmd_cells, _cells_options),
     "segre": _group({
         "mu": _SEGRE_EVALUATE,
         "nu": _SEGRE_EVALUATE,

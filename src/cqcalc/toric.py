@@ -404,7 +404,7 @@ def toric_integral(cls):
     integrates to 1, so a top-degree class integrates to its coefficient sum."""
     if cls.degree != cls.fan.rank:
         raise DomainError("degree mismatch")
-    return sum(cls._terms.values(), Fraction(0))
+    return _exact(sum(cls._terms.values()))
 
 
 def _restrict(fan, divisors, weights=None):

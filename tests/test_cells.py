@@ -178,6 +178,91 @@ def test_chow_dp_past_enumeration(n, count):
     assert hist == hist[::-1]
 
 
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)]
+
+
+def _nonsingular_quadrics(m):
+    """E_m(q): nonsingular symmetric m x m matrices over F_q (q odd), up to
+    scalars.  Their count is q^C(m+1,2) prod_{i=1..s} (1 - q^(1-2i)) with
+    s = ceil(m/2); dividing by q - 1 leaves
+    q^(C(m+1,2) - s^2) prod_{i=2..s} (q^(2i-1) - 1)."""
+    s = (m + 1) // 2
+    poly = [0] * (math.comb(m + 1, 2) - s * s) + [1]
+    for i in range(2, s + 1):
+        poly = _poly_mul(poly, [-1] + [0] * (2 * i - 2) + [1])
+    return poly
+
+
+def _complete_quadric_points(n):
+    """#CQ_n(F_q) as a polynomial in q.  A complete quadric is a flag with a
+    smooth quadric on each successive quotient (De Concini-Procesi,
+    Thaddeus), so P_0 = 1 and P_k = sum_{m=1..k} [k choose m]_q E_m P_(k-m),
+    with [k choose m]_q the Gaussian binomial."""
+    gauss = [[[1]]]  # gauss[k][m] = [k choose m]_q
+    for k in range(1, n + 1):
+        row = gauss[-1]
+        gauss.append([[1]] + [
+            _poly_add(row[m - 1], [0] * m + row[m]) if m < k else [1]
+            for m in range(1, k + 1)
+        ])
+    points = [[1]]
+    for k in range(1, n + 1):
+        total = [0]
+        for m in range(1, k + 1):
+            term = _poly_mul(gauss[k][m], _nonsingular_quadrics(m))
+            total = _poly_add(total, _poly_mul(term, points[k - m]))
+        points.append(total)
+    return points[n]
+
+
+def _det_mod(matrix, p):
+    a = [row[:] for row in matrix]
+    det = 1
+    for col in range(len(a)):
+        pivot = next((r for r in range(col, len(a)) if a[r][col] % p), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det = det * a[col][col] % p
+        inverse = pow(a[col][col], -1, p)
+        for r in range(col + 1, len(a)):
+            factor = a[r][col] * inverse % p
+            a[r] = [(x - factor * y) % p for x, y in zip(a[r], a[col])]
+    return det
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)])
+def test_nonsingular_quadric_count_by_brute_force(p, m):
+    slots = [(i, j) for i in range(m) for j in range(i, m)]
+    count = 0
+    for entries in product(range(p), repeat=len(slots)):
+        matrix = [[0] * m for _ in range(m)]
+        for (i, j), x in zip(slots, entries):
+            matrix[i][j] = matrix[j][i] = x
+        count += _det_mod(matrix, p) != 0
+    assert count == (p - 1) * sum(c * p**k for k, c in enumerate(_nonsingular_quadrics(m)))
+
+
+def test_chow_dp_matches_point_count():
+    # CQ_n is paved by the cells the histogram counts, so the coefficients
+    # of #CQ_n(F_q) are its Betti numbers: a route past enumeration's n <= 8
+    for n in range(2, 13):
+        assert _complete_quadric_points(n) == chow_group_dimensions(n), n
+
+
 def test_chow_histogram_past_reach_is_refused_at_once():
     # n = 16 takes about 10 s, and each further n about 2.5 times more
     for n in (17, 30, 10**6):

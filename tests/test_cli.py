@@ -100,6 +100,27 @@ def test_matroid_uniform_and_euler(capsys):
     assert code == 0 and out.strip() == "0"
 
 
+@pytest.mark.parametrize("as_file", [False, True], ids=["inline", "file"])
+def test_matroid_matrix_source(tmp_path, capsys, as_file):
+    rows = [[1, 1, 0, 2], [0, 1, "1/2", 1]]
+    m = matroid.matroid_from_subspace([[cli._parse_fraction(str(x)) for x in row]
+                                       for row in rows])
+    chi = matroid.characteristic_polynomial(m)
+    reduced = list(matroid.reduced_characteristic_coefficients(m))
+    data = json.dumps(rows)
+    if as_file:
+        (tmp_path / "rows.json").write_text(data)
+        data = f"@{tmp_path / 'rows.json'}"
+    code, out, err = run_cli(capsys, "matroid", "charpoly", "--matrix", data,
+                             "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and err == ""
+    assert payload["result"] == {"characteristic": cli._jsonable(chi), "reduced": reduced}
+    assert payload["meta"]["params"] == {"matrix": rows}
+    assert run_cli(capsys, "matroid", "reduced", "--matrix", data) == (
+        0, " ".join(map(str, reduced)) + "\n", "")
+
+
 def test_deep_deletion_contraction(capsys):
     # 1500 levels of deletion-contraction, past the default recursion limit
     code, out, err = run_cli(capsys, "matroid", "charpoly", "--uniform", "1,1500",
@@ -240,6 +261,15 @@ def _assert_domain_error(capsys, argv, needle):
 def test_matroid_matrix_must_be_rows(capsys, matrix):
     _assert_domain_error(capsys, ("matroid", "charpoly", "--matrix", matrix),
                          "matrix must be a JSON list of rows")
+
+
+@pytest.mark.parametrize("values, needle", [
+    ("x12", "assignment 'x12' must look like name=value"),
+    ("x13=1,x23=1/0,y1=1", "bad rational '1/0'"),
+])
+def test_cells_verify_values_must_parse(capsys, values, needle):
+    _assert_domain_error(capsys, ("cells", "verify", "--sigma", "2|13", "--values", values),
+                         needle)
 
 
 def test_toric_class_ray_indices_must_be_integers(capsys):
@@ -655,6 +685,31 @@ def test_filtered_namespace_matches_full_parser(capsys):
     (["matroid", "bogus"], 2, "invalid choice: 'bogus'"),
     (["phi", "--n", "x", "--d", "1"], 2, "cq phi: error: argument --n: invalid int value"),
     (["phi-poly", "--d", "2", "--jobs", "2"], 2, "unrecognized arguments: --jobs 2"),
+    (["cells"], 2, "usage error: choose a cells action or pass --histogram"),
+    # Each input source is one required, mutually exclusive group, so a
+    # missing or a second source stops in the parser.
+    (["toric", "fan-check"], 2, "one of the arguments --fan --permutohedral is required"),
+    (["toric", "fan-check", "--fan", "x.txt", "--permutohedral", "3"], 2,
+     "argument --permutohedral: not allowed with argument --fan"),
+    (["toric", "integral", "--class", "[]"], 2,
+     "one of the arguments --fan --permutohedral is required"),
+    (["toric", "integral", "--permutohedral", "3", "--fan", "x.txt", "--class", "[]"], 2,
+     "argument --fan: not allowed with argument --permutohedral"),
+    (["matroid", "charpoly"], 2, "one of the arguments --graph --uniform --matrix is required"),
+    (["matroid", "reduced"], 2, "one of the arguments --graph --uniform --matrix is required"),
+    (["matroid", "charpoly", "--graph", "g.txt", "--uniform", "2,3"], 2,
+     "argument --uniform: not allowed with argument --graph"),
+    (["matroid", "reduced", "--uniform", "2,3", "--matrix", "[[1]]"], 2,
+     "argument --matrix: not allowed with argument --uniform"),
+    (["matroid", "chromatic"], 2, "the following arguments are required: --graph"),
+    (["matroid", "chromatic", "--graph", "g.txt", "--uniform", "2,3"], 2,
+     "unrecognized arguments: --uniform 2,3"),
+    (["matroid", "chromatic", "--graph", "g.txt", "--matrix", "[[1]]"], 2,
+     "unrecognized arguments: --matrix [[1]]"),
+    (["cells", "verify", "--sigma", "2|13"], 2,
+     "one of the arguments --values --random is required"),
+    (["cells", "verify", "--sigma", "2|13", "--values", "x13=1", "--random"], 2,
+     "argument --random: not allowed with argument --values"),
 ])
 def test_usage_errors_match_full_parser(capsys, monkeypatch, argv, code, needle):
     def outcome():

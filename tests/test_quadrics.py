@@ -674,6 +674,33 @@ def test_hypersurface_characteristic_number():
         hypersurface_characteristic_number(4, 2, 0)
 
 
+def _chern_coefficient(k, m, d, e):
+    """[h^k] (1+h)^(m+1) / (1+dh)^e: the tangent bundle of P^m over the
+    normal bundle of e general degree-d hypersurfaces, as integers."""
+    if k < 0:
+        return 0
+    return sum(binomial(m + 1, j) * binomial(e - 1 + k - j, k - j) * (-d) ** (k - j)
+               for j in range(k + 1))
+
+
+def test_hypersurface_count_base_by_pencil_euler_characteristic():
+    # The base n(d-1)^(n-1) is the degree of tangency to a hyperplane
+    # H = P^m, m = n - 1: the discriminant of degree-d forms on H, which
+    # counts the singular members of a general pencil on H.  Each has one
+    # node, so with X a smooth member and B the base locus,
+    # chi(P^m) = 2 chi(X) - chi(B) + (-1)^m #singular (Dimca 1992; Eisenbud-
+    # Harris, 3264 and All That).  The b-th power stays the theorem's claim.
+    for m in range(1, 12):
+        n = m + 1
+        for d in range(2, 15):
+            chi_x = d * _chern_coefficient(m - 1, m, d, 1)
+            chi_b = d * d * _chern_coefficient(m - 2, m, d, 2)
+            singular = (-1) ** m * (m + 1 + chi_b - 2 * chi_x)
+            assert singular == n * (d - 1) ** (n - 1), (m, d)
+            if d == 5 or d >= 7:
+                assert hypersurface_characteristic_number(d, n, 1) == singular
+
+
 def _delta_sums_verdict(groups, n, limit, monkeypatch):
     """`_delta_sums` on groups of terms on one n, with `limit` index sets of
     budget and every psi stubbed to 1: the sums, or None when it refuses

@@ -2,8 +2,9 @@ import pickle
 
 import pytest
 
-from cqcalc.exactmath import DomainError
+from cqcalc.exactmath import DomainError, binomial
 from cqcalc.matroid import euler_characteristic_complement
+from cqcalc.quadrics import phi
 from cqcalc.segre import (
     SegreData,
     mu_from_segre,
@@ -124,3 +125,40 @@ def test_mu_nu_inequality_check():
 def test_euler_sum_consistency_with_nu_row():
     nu = [nu_from_segre(HOLLOW_NU, i) for i in range(4)]
     assert euler_characteristic_complement(nu) == 0
+
+
+# A generic L of projective dimension nL in Sym^2(C^n): the projective
+# degrees of grad det on P(L) are phi(n, 1..nL+1) (Fulton, Intersection
+# Theory, Prop. 4.4, through the Segre class of the corank >= 2 locus).
+
+
+def test_mu_from_segre_with_reduced_point_base_locus():
+    # nL = 3: the base locus is C(n+1, 3) reduced points
+    for n in range(3, 31):
+        data = SegreData(n, 3, 0, (binomial(n + 1, 3),))
+        assert [mu_from_segre(data, i) for i in range(4)] == [phi(n, d) for d in range(1, 5)], n
+
+
+def test_mu_from_segre_with_veronese_base_locus():
+    # n = 3, nL = 5: the base locus is the Veronese surface, P^2 embedded by
+    # O(2) in P^5, with s = (1+h)^3 / (1+2h)^6 in powers of h.  Its degree
+    # s_j pairs the h^j part with H^(2-j), and H = 2h.
+    inverse = [binomial(5 + k, k) * (-2) ** k for k in range(3)]
+    s_h = [sum(binomial(3, j) * inverse[k - j] for j in range(k + 1)) for k in range(3)]
+    assert s_h == [1, -9, 51]
+    s = tuple(2 ** (2 - j) * x for j, x in enumerate(s_h))
+    data = SegreData(degF=3, nL=5, mY=2, s=s)
+    assert [mu_from_segre(data, i) for i in range(6)] == [phi(3, d) for d in range(1, 7)]
+    assert s == (4, -18, 51)
+
+
+def test_euler_characteristic_of_determinant_complement():
+    # chi(P(L) minus V(det)) = sum_k (-1)^k phi(n, k+1) (Huh, Compositio 149,
+    # 2013; Dimca-Papadima, Annals 158, 2003), against its value on a
+    # generic L of projective dimension d - 1 <= 3
+    for n in range(2, 26):
+        closed = [1, 2 - n, 1 + (n - 1) * (n - 2),
+                  4 - (n**3 - 4 * n**2 + 6 * n - binomial(n + 1, 3))]
+        for d in range(1, min(4, binomial(n + 1, 2)) + 1):
+            nu = [phi(n, k) for k in range(1, d + 1)]
+            assert euler_characteristic_complement(nu) == closed[d - 1], (n, d)

@@ -676,6 +676,10 @@ def test_multiply_with_fraction_coefficients():
     assert toric_integral(halved) == Fraction(1) and toric_integral(whole) == 2
     point = ToricClass(fan, 2, {k: Fraction(3, 4) for k in whole.terms})
     assert toric_integral(point) == Fraction(3, 2)
+    # an integral sum is an int, as every other engine returns it
+    cone = next(iter(whole.terms))
+    assert type(toric_integral(ToricClass(fan, 2, {cone: Fraction(3)}))) is int
+    assert all(type(toric_integral(c)) is int for c in (halved, whole))
 
 
 def test_divisor_rays_outside_fan_add_nothing():
